@@ -24,10 +24,7 @@
 // scenarios/ and internal/scenario): telemetry overlay, drift schedule,
 // fault-injection schedule, workload model, and lifecycle/guard
 // configuration all come from the JSON file, and the output is the
-// scenario survival summary. The legacy ad-hoc burst injector
-// (-burst-day, -burst-ues, -burst-nodes) is deprecated: when used it is
-// mapped onto a generated scenario spec and routed through the same
-// pipeline.
+// scenario survival summary.
 //
 // With -workers N the stream is served through the distributed fleet
 // layer (internal/fleet): a coordinator rendezvous-hashes nodes across N
@@ -117,16 +114,13 @@ func main() {
 	approve := flag.String("approve", "auto", "promotion approval hook: auto or deny")
 	probation := flag.Int("probation", 4096, "post-promotion probation window in decisions (0 disables rollback)")
 	probationTol := flag.Float64("probation-tolerance", 5, "probation regression tolerance in node-hours")
-	burstDay := flag.Float64("burst-day", 0, "day an adversarial UE burst strikes (0 disables)")
-	burstUEs := flag.Int("burst-ues", 32, "UEs in the injected burst")
-	burstNodes := flag.Int("burst-nodes", 8, "nodes the burst strikes round-robin")
 
 	workers := flag.Int("workers", 0, "serve through the distributed fleet layer with this many in-process workers (0 = single-process Controller)")
 	killWorker := flag.String("kill-worker", "", "comma-separated id@day entries: crash the worker at that stream day (state lost, journal replays on rejoin)")
 	rejoinWorker := flag.String("rejoin-worker", "", "comma-separated id@day entries: bring a killed worker back")
 	flag.Parse()
 
-	if *scenarioFile != "" || (*burstDay > 0 && *burstDay < *days) {
+	if *scenarioFile != "" {
 		if *model != "" || *save != "" {
 			fatal(fmt.Errorf("-model and -save are not supported in scenario mode"))
 		}
@@ -136,30 +130,13 @@ func main() {
 		if *kernel != "reference" {
 			fatal(fmt.Errorf("scenario runs use the reference kernel; drop -kernel %s", *kernel))
 		}
-		var spec scenario.Spec
-		if *scenarioFile != "" {
-			data, err := os.ReadFile(*scenarioFile)
-			if err != nil {
-				fatal(err)
-			}
-			if spec, err = scenario.Decode(data); err != nil {
-				fatal(err)
-			}
-		} else {
-			fmt.Fprintln(os.Stderr, "uerlserve: the -burst-* injector is deprecated; mapping the flags onto a generated scenario spec (write one and pass -scenario instead)")
-			spec = burstShimSpec(shimFlags{
-				Seed: *seed, Nodes: *nodes, Days: *days,
-				DriftDay: *driftDay, DriftMult: *driftMult,
-				Policy: *policy, Cost: *cost, MitCost: *mitcost,
-				DriftThreshold: *driftThreshold, DriftWindow: *driftWindow,
-				RetrainMin: *retrainMin, EpochSteps: *epochSteps,
-				Shadow: *shadow, ShadowUEs: *shadowUEs,
-				BurstDay: *burstDay, BurstUEs: *burstUEs, BurstNodes: *burstNodes,
-				Guarded: *guarded, NodeBudget: *nodeBudget, NodeBudgetWindow: *nodeBudgetWindow,
-				FleetBudget: *fleetBudget, FleetBudgetWindow: *fleetBudgetWindow,
-				PromotionsPerDay: *promotionsPerDay, Approve: *approve,
-				Probation: *probation, ProbationTol: *probationTol,
-			})
+		data, err := os.ReadFile(*scenarioFile)
+		if err != nil {
+			fatal(err)
+		}
+		spec, err := scenario.Decode(data)
+		if err != nil {
+			fatal(err)
 		}
 		sum, err := scenario.Run(spec)
 		if err != nil {
@@ -498,94 +475,6 @@ func generateStream(seed int64, nodes int, days, driftDay, driftMult float64) ([
 		}
 	}
 	return out, ues
-}
-
-// shimFlags carries the deprecated flag set into burstShimSpec.
-type shimFlags struct {
-	Seed                      int64
-	Nodes                     int
-	Days, DriftDay, DriftMult float64
-	Policy                    string
-	Cost, MitCost             float64
-	DriftThreshold            float64
-	DriftWindow               int
-	RetrainMin, EpochSteps    int
-	Shadow, ShadowUEs         int
-	BurstDay                  float64
-	BurstUEs, BurstNodes      int
-	Guarded                   bool
-	NodeBudget                float64
-	NodeBudgetWindow          time.Duration
-	FleetBudget               int
-	FleetBudgetWindow         time.Duration
-	PromotionsPerDay          int
-	Approve                   string
-	Probation                 int
-	ProbationTol              float64
-}
-
-// burstShimSpec maps the deprecated -burst-* flag set onto an
-// equivalent declarative scenario spec: the two-phase drifting stream
-// becomes a drift phase with the same CE-rate/burst/faulty-fraction
-// overlay, and the ad-hoc UE burst becomes a single 15s-spaced burst
-// train round-robin over the first -burst-nodes nodes.
-func burstShimSpec(f shimFlags) scenario.Spec {
-	shadowUEs := f.ShadowUEs
-	spec := scenario.Spec{
-		Name:         "uerlserve-burst-shim",
-		Description:  "generated from the deprecated uerlserve -burst-* flags",
-		Seed:         f.Seed,
-		DurationDays: f.Days,
-		Fleet:        scenario.FleetSpec{Nodes: f.Nodes},
-		Workload: scenario.WorkloadSpec{
-			CostNodeHours:             f.Cost,
-			MitigationCostNodeMinutes: f.MitCost,
-		},
-		Lifecycle: scenario.LifecycleSpec{
-			InitialPolicy:   f.Policy,
-			DriftThreshold:  f.DriftThreshold,
-			DriftWindow:     f.DriftWindow,
-			RetrainMin:      f.RetrainMin,
-			EpochSteps:      f.EpochSteps,
-			ShadowDecisions: f.Shadow,
-			ShadowUEs:       &shadowUEs,
-		},
-	}
-	if f.DriftDay > 0 && f.DriftDay < f.Days {
-		spec.Drift = []scenario.DriftPhase{{
-			AtDay: f.DriftDay,
-			Overlay: scenario.OverlaySpec{
-				CERateMult:         f.DriftMult,
-				CEBurstMult:        f.DriftMult,
-				FaultyFractionMult: 2,
-			},
-		}}
-	}
-	burstNodes := f.BurstNodes
-	if burstNodes <= 0 || burstNodes > f.Nodes {
-		burstNodes = 0 // whole fleet, matching the old injector's clamp
-	}
-	spec.Faults = []scenario.FaultSpec{{
-		Kind:     scenario.FaultBurst,
-		StartDay: f.BurstDay,
-		Nodes:    burstNodes,
-		UEs:      f.BurstUEs,
-		Trains:   1,
-	}}
-	if f.Guarded {
-		tol := f.ProbationTol
-		spec.Lifecycle.Guard = &scenario.GuardSpec{
-			NodeBudgetNodeHours:  f.NodeBudget,
-			NodeWindowHours:      f.NodeBudgetWindow.Hours(),
-			FleetMitigations:     f.FleetBudget,
-			FleetWindowHours:     f.FleetBudgetWindow.Hours(),
-			PromotionsPerDay:     f.PromotionsPerDay,
-			Approve:              f.Approve,
-			ProbationDecisions:   f.Probation,
-			ProbationToleranceNH: &tol,
-		}
-	}
-	return spec
 }
 
 // printSummary renders the scenario survival summary as the text log.

@@ -300,8 +300,8 @@ func (c *Controller) Recommend(node int, at time.Time, potentialCostNodeHours fl
 	}
 	// Guard consult: a tripped mitigation budget degrades the decision to
 	// ActionNone instead of serving it — graceful suppression, never an
-	// error. The check is read-shaped (window expiry only), so Recommend
-	// stays side-effect-free w.r.t. node state and allocation-free; budget
+	// error. The check is read-only (it never advances a budget window),
+	// so Recommend stays side-effect-free and allocation-free; budget
 	// accounting is charged from the served-decision stream (see
 	// Guard.ObserveDecision), not from polling.
 	if g := c.guard.Load(); g != nil && d.Mitigate() {

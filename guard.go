@@ -273,8 +273,8 @@ func (g *Guard) mitigationCostNodeHours() float64 {
 	return g.cfg.mitigationCostNodeMinutes / 60
 }
 
-// allowMitigation is the Recommend-path budget consult (read-shaped, no
-// charge, no audit — see ObserveDecision).
+// allowMitigation is the Recommend-path budget consult (read-only: no
+// window advance, no charge, no audit — see ObserveDecision).
 func (g *Guard) allowMitigation(node int, at time.Time) (bool, string) {
 	return g.budgets.AllowMitigation(node, at, g.mitigationCostNodeHours())
 }

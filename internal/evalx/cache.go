@@ -89,17 +89,22 @@ type oraclePoint struct {
 
 // OraclePoints returns the §4.2 Oracle mitigation set for UEs inside
 // [from, to) (zero times disable a bound), served from the precomputed
-// index. It returns exactly what the standalone OraclePoints computes over
-// the artifact's ByNode ticks.
+// index — the same window query OraclePoints runs over the ByNode ticks.
 func (a *TickArtifacts) OraclePoints(from, to time.Time) map[policies.OracleKey]bool {
+	return oracleWindow(a.oraclePts, from, to)
+}
+
+// oracleWindow collects the points of a UE-time-sorted oracle index whose
+// UE falls inside [from, to) (zero times disable a bound).
+func oracleWindow(pts []oraclePoint, from, to time.Time) map[policies.OracleKey]bool {
 	lo := 0
 	if !from.IsZero() {
-		lo = sort.Search(len(a.oraclePts), func(i int) bool {
-			return !a.oraclePts[i].ueTime.Before(from)
+		lo = sort.Search(len(pts), func(i int) bool {
+			return !pts[i].ueTime.Before(from)
 		})
 	}
 	points := map[policies.OracleKey]bool{}
-	for _, p := range a.oraclePts[lo:] {
+	for _, p := range pts[lo:] {
 		if !to.IsZero() && !p.ueTime.Before(to) {
 			break
 		}

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/errlog"
 	"repro/internal/jobs"
 	"repro/internal/nn"
+	"repro/internal/policies"
 	"repro/internal/telemetry"
 )
 
@@ -79,8 +81,35 @@ func TestRLArtifactCacheHit(t *testing.T) {
 	}
 }
 
-// TestOraclePointsIndexEquivalence asserts the precomputed oracle index
-// serves exactly what the standalone OraclePoints scan computes, for
+// referenceOraclePoints is the Oracle set's specification: a direct scan
+// of every node's ticks, pairing each UE inside [from, to) with the last
+// decision tick that precedes it by at least the mitigation overhead and
+// at most the prediction window.
+func referenceOraclePoints(ticksByNode [][]errlog.Tick, from, to time.Time) map[policies.OracleKey]bool {
+	points := map[policies.OracleKey]bool{}
+	for _, ticks := range ticksByNode {
+		lastDecision := time.Time{}
+		haveDecision := false
+		for _, tick := range ticks {
+			if tick.HasUE() {
+				ut := ueEventTime(tick)
+				inWin := (from.IsZero() || !ut.Before(from)) && (to.IsZero() || ut.Before(to))
+				gap := ut.Sub(lastDecision)
+				if haveDecision && inWin && gap >= OracleOverhead && gap <= PredictionWindow {
+					points[policies.OracleKey{Node: tick.Node, Time: lastDecision}] = true
+				}
+				continue
+			}
+			lastDecision = tick.Time
+			haveDecision = true
+		}
+	}
+	return points
+}
+
+// TestOraclePointsIndexEquivalence asserts both index-backed Oracle
+// queries — the memoized TickArtifacts index and the standalone
+// OraclePoints — serve exactly what the reference scan computes, for
 // unbounded, half-bounded and fully bounded query windows.
 func TestOraclePointsIndexEquivalence(t *testing.T) {
 	log := telemetry.Generate(telemetry.Default().Scale(0.04))
@@ -99,10 +128,13 @@ func TestOraclePointsIndexEquivalence(t *testing.T) {
 		{"empty", first.Add(span / 2), first.Add(span / 2)},
 	}
 	for _, w := range windows {
-		got := art.OraclePoints(w.from, w.to)
-		want := OraclePoints(art.ByNode, w.from, w.to)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s window: indexed oracle points (%d) differ from scan (%d)",
+		want := referenceOraclePoints(art.ByNode, w.from, w.to)
+		if got := art.OraclePoints(w.from, w.to); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s window: memoized oracle points (%d) differ from scan (%d)",
+				w.name, len(got), len(want))
+		}
+		if got := OraclePoints(art.ByNode, w.from, w.to); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s window: standalone oracle points (%d) differ from scan (%d)",
 				w.name, len(got), len(want))
 		}
 	}

@@ -13,10 +13,12 @@ import (
 	"repro/internal/policies"
 )
 
-// This file implements the single-pass multi-policy replay engine. The
-// legacy path (Replay, one policy per full walk) remains the reference
-// implementation; ReplayAll produces bit-identical Results while walking
-// each node's tick stream exactly once for all N policies.
+// This file implements the replay engine behind every evaluation:
+// ReplayAll walks each node's tick stream exactly once for all N policies,
+// and Replay is its one-policy entry point. Its specification is the
+// per-policy walk (one full walk and one job timeline per policy), which
+// lives in engine_test.go as the reference oracle; the equivalence tests
+// there hold ReplayAll to it bit for bit.
 //
 // What makes a single shared walk possible:
 //
@@ -27,10 +29,10 @@ import (
 //     UE events; a mitigation moves nothing but the cost baseline
 //     (env.Timeline.Mitigate). The engine keeps one mitigation-free
 //     timeline and reconstructs each policy's effective cost as
-//     nodes × (t − max(jobStart, lastMitigation)) — exactly the value the
-//     legacy per-policy timeline would report.
-//   - All policies replayed under one ReplayConfig consume identical RNG
-//     streams in the legacy path (each Replay reseeds from JobSeed), so
+//     nodes × (t − max(jobStart, lastMitigation)) — exactly the value a
+//     per-policy timeline would report.
+//   - A per-policy walk under one ReplayConfig consumes the same RNG
+//     streams for every policy (each walk reseeds from JobSeed), so
 //     forking once per node reproduces every policy's draws.
 //
 // Per decision point the engine materializes the feature snapshot once and
@@ -77,13 +79,16 @@ func (sc *engineScratch) reset(np int) {
 // single pass: for each node the tick stream is walked once, the feature
 // snapshot, job context and (lazily) the RF score are materialized once
 // per decision point, and every decider is scored against that shared
-// state. Results are bit-identical to calling Replay once per decider —
+// state. Results are bit-identical to walking the log once per decider —
 // the equivalence tests in engine_test.go enforce exactly that.
 //
-// Nodes fan out across the bounded worker pool like Replay; if any decider
-// is not concurrency-safe the whole set replays serially (decisions for
-// all policies are interleaved on one worker, which preserves each
-// decider's own call order).
+// Nodes are independent worlds, so they fan out across the bounded worker
+// pool (ReplayConfig.Parallelism). Per-node RNGs are forked serially in
+// node order before any worker starts and the per-node partials reduce in
+// node order, so serial and parallel runs produce bit-identical Results.
+// If any decider is not concurrency-safe the whole set replays serially
+// (decisions for all policies are interleaved on one worker, which
+// preserves each decider's own call order).
 func ReplayAll(ds []policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig) []Result {
 	out := make([]Result, len(ds))
 	for i, d := range ds {
@@ -133,8 +138,8 @@ func ReplayAll(ds []policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs
 		engineScratchPool.Put(sc)
 	})
 
-	// Reduce in node order per policy: the same accumulation order as the
-	// legacy per-policy Replay, so sums match bit for bit.
+	// Reduce in node order per policy: the accumulation order, and so every
+	// float sum, is independent of the worker count.
 	for _, part := range partials {
 		for pi := range part {
 			out[pi].Add(part[pi])
@@ -193,7 +198,10 @@ func replayNodeAll(ds []policies.Decider, batch []policies.BatchDecider, ticks [
 					res.UEs++
 					res.UECost += cost
 					// §4.4: TP if a mitigation completed within the
-					// preceding 24 h; otherwise FN (see replayNode).
+					// preceding 24 h (initiated at least the mitigation
+					// overhead before the UE); otherwise FN. UEs with no
+					// event in the window are implicit "no-mitigate"
+					// false negatives.
 					mitigated := false
 					for i := len(st.mitigations) - 1; i >= 0; i-- {
 						dt := ut.Sub(st.mitigations[i])
@@ -250,7 +258,7 @@ func replayNodeAll(ds []policies.Decider, batch []policies.BatchDecider, ticks [
 			if mitigate {
 				st.lastMit, st.hasMit = tick.Time, true
 				st.mitigations = append(st.mitigations, tick.Time)
-				// Trim the window to bound memory (as in replayNode).
+				// Trim the window to bound memory.
 				if len(st.mitigations) > 64 {
 					st.mitigations = st.mitigations[len(st.mitigations)-64:]
 				}

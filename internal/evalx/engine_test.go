@@ -88,9 +88,113 @@ func requireIdentical(t *testing.T, label string, got, want Result) {
 	}
 }
 
+// referenceReplay is the replay engine's specification: the per-policy
+// walk, one policy per full pass over the log with its own feature
+// tracker and its own job timeline, so a mitigation moves that timeline's
+// cost baseline directly. It replays serially — per-node RNGs fork in node
+// order and per-node partials reduce in node order, which is the
+// accumulation order the engine promises at any worker count.
+func referenceReplay(d policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig) Result {
+	res := Result{Policy: d.Name()}
+	rng := mathx.NewRNG(cfg.JobSeed)
+	for _, ticks := range ticksByNode {
+		if len(ticks) == 0 {
+			continue
+		}
+		var part Result
+		referenceReplayNode(d, ticks, sampler, cfg, rng.Fork(), &part)
+		res.Add(part)
+	}
+	res.Metrics.FPs = res.Metrics.Mitigations - res.Metrics.TPs
+	res.Metrics.TNs = res.Metrics.NonMitigations - res.Metrics.FNs
+	return res
+}
+
+// referenceReplayNode replays one node's tick sequence for one policy.
+func referenceReplayNode(d policies.Decider, ticks []errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig, rng *mathx.RNG, res *Result) {
+	tracker := features.NewTracker()
+	tl := env.NewTimeline(sampler, rng.Fork(), cfg.Env.Restartable, ticks[0].Time)
+	costRNG := rng.Fork()
+	mitCost := cfg.Env.MitigationCostNodeHours()
+	overhead := time.Duration(cfg.Env.MitigationCostNodeMinutes * float64(time.Minute))
+
+	// Recent mitigation times (for the §4.4 prediction window) and the
+	// last event time (to detect UEs with no event in the preceding day).
+	var mitigations []time.Time
+	var lastEvent time.Time
+	var haveEvent bool
+	lastOverride := 0.0
+
+	for _, tick := range ticks {
+		tl.AdvanceTo(tick.Time)
+		if tick.HasUE() {
+			ut := ueEventTime(tick)
+			cost := tl.OnUE(ut)
+			if cfg.CostOverride != nil {
+				cost = lastOverride
+			}
+			tracker.Observe(tick, 0)
+			if cfg.inWindow(ut) {
+				res.UEs++
+				res.UECost += cost
+				// §4.4: TP if a mitigation completed within the preceding
+				// 24 h (initiated at least the mitigation overhead before
+				// the UE); otherwise FN. UEs with no event in the window
+				// are implicit "no-mitigate" false negatives.
+				mitigated := false
+				for i := len(mitigations) - 1; i >= 0; i-- {
+					dt := ut.Sub(mitigations[i])
+					if dt > PredictionWindow {
+						break
+					}
+					if dt >= overhead {
+						mitigated = true
+						break
+					}
+				}
+				if mitigated {
+					res.Metrics.TPs++
+				} else {
+					res.Metrics.FNs++
+					if !haveEvent || ut.Sub(lastEvent) > PredictionWindow {
+						res.Metrics.NonMitigations++
+					}
+				}
+			}
+			lastEvent, haveEvent = ut, true
+			continue
+		}
+
+		ueCost := tl.CostAt(tick.Time)
+		if cfg.CostOverride != nil {
+			ueCost = cfg.CostOverride(costRNG)
+			lastOverride = ueCost
+		}
+		v := tracker.Observe(tick, ueCost)
+		mitigate := d.Decide(policies.Context{Node: tick.Node, Time: tick.Time, Features: v})
+		if mitigate {
+			tl.Mitigate(tick.Time)
+			mitigations = append(mitigations, tick.Time)
+			if len(mitigations) > 64 {
+				mitigations = mitigations[len(mitigations)-64:]
+			}
+		}
+		if cfg.inWindow(tick.Time) {
+			res.Decisions++
+			if mitigate {
+				res.MitigationCost += mitCost
+				res.Metrics.Mitigations++
+			} else {
+				res.Metrics.NonMitigations++
+			}
+		}
+		lastEvent, haveEvent = tick.Time, true
+	}
+}
+
 // TestReplayAllMatchesLegacyPerPolicy is the engine's hard correctness
-// bar: the single-pass multi-policy walk must reproduce the legacy
-// one-policy-per-walk path bit for bit, for all eight §4.2 approaches,
+// bar: the single-pass multi-policy walk must reproduce the reference
+// one-policy-per-walk oracle bit for bit, for all eight §4.2 approaches,
 // across restartable/non-restartable mitigation and accounting windows.
 func TestReplayAllMatchesLegacyPerPolicy(t *testing.T) {
 	byNode, sampler, ds := engineFixture(t)
@@ -118,27 +222,27 @@ func TestReplayAllMatchesLegacyPerPolicy(t *testing.T) {
 				t.Fatalf("results = %d, want %d", len(got), len(ds))
 			}
 			for i, d := range ds {
-				requireIdentical(t, tc.name, got[i], Replay(d, byNode, sampler, tc.cfg))
+				requireIdentical(t, tc.name, got[i], referenceReplay(d, byNode, sampler, tc.cfg))
 			}
 		})
 	}
 }
 
 // TestReplayAllCostOverrideMatchesLegacy covers the Table 2 cost-range
-// mode: the synthetic cost draws must line up with the legacy per-policy
-// RNG streams.
+// mode: the synthetic cost draws must line up with the reference
+// per-policy RNG streams.
 func TestReplayAllCostOverrideMatchesLegacy(t *testing.T) {
 	byNode, sampler, ds := engineFixture(t)
 	cfg := ReplayConfig{Env: env.DefaultConfig(), JobSeed: 3}
 	cfg.CostOverride = func(rng *mathx.RNG) float64 { return 10 + rng.Float64()*990 }
 	got := ReplayAll(ds, byNode, sampler, cfg)
 	for i, d := range ds {
-		requireIdentical(t, "override", got[i], Replay(d, byNode, sampler, cfg))
+		requireIdentical(t, "override", got[i], referenceReplay(d, byNode, sampler, cfg))
 	}
 }
 
 // TestReplayAllParallelMatchesSerial: the engine's node fan-out is a pure
-// wall-clock knob, exactly like Replay's.
+// wall-clock knob.
 func TestReplayAllParallelMatchesSerial(t *testing.T) {
 	byNode, sampler, ds := engineFixture(t)
 	cfgSerial := ReplayConfig{Env: env.DefaultConfig(), JobSeed: 2, Parallelism: 1}
@@ -154,7 +258,7 @@ func TestReplayAllParallelMatchesSerial(t *testing.T) {
 // statefulDecider mitigates on every k-th Decide call — no BatchDecider
 // implementation, not concurrency-safe, call-order dependent. It exercises
 // the engine's per-decider fallback (Decide on a vector copy) and the
-// forced-serial path, which must still reproduce the legacy walk exactly
+// forced-serial path, which must still reproduce the reference walk exactly
 // because per-node decision order is preserved.
 type statefulDecider struct {
 	k     int
@@ -173,7 +277,7 @@ func TestReplayAllStatefulFallbackMatchesLegacy(t *testing.T) {
 	// Fresh decider instances per path: the stateful counter must see the
 	// same call sequence in both.
 	got := ReplayAll([]policies.Decider{policies.Always{}, &statefulDecider{k: 7}}, byNode, sampler, cfg)
-	want := Replay(&statefulDecider{k: 7}, byNode, sampler, cfg)
+	want := referenceReplay(&statefulDecider{k: 7}, byNode, sampler, cfg)
 	requireIdentical(t, "stateful", got[1], want)
 }
 
@@ -189,7 +293,7 @@ func TestReplayAllFallbackSeesEffectiveCost(t *testing.T) {
 	sampler := fixedSampler(5, 1000)
 	cfg := replayCfg() // restartable
 
-	var batchCosts, legacyCosts []float64
+	var batchCosts, refCosts []float64
 	record := func(out *[]float64) policies.Decider {
 		return policyProbe{func(ctx policies.Context) bool {
 			*out = append(*out, ctx.Features[features.UECost])
@@ -197,13 +301,13 @@ func TestReplayAllFallbackSeesEffectiveCost(t *testing.T) {
 		}}
 	}
 	ReplayAll([]policies.Decider{policies.Never{}, record(&batchCosts)}, ticks, sampler, cfg)
-	Replay(record(&legacyCosts), ticks, sampler, cfg)
-	if len(batchCosts) != len(legacyCosts) {
-		t.Fatalf("call counts differ: %d vs %d", len(batchCosts), len(legacyCosts))
+	referenceReplay(record(&refCosts), ticks, sampler, cfg)
+	if len(batchCosts) != len(refCosts) {
+		t.Fatalf("call counts differ: %d vs %d", len(batchCosts), len(refCosts))
 	}
 	for i := range batchCosts {
-		if batchCosts[i] != legacyCosts[i] {
-			t.Fatalf("cost %d: engine %v != legacy %v", i, batchCosts[i], legacyCosts[i])
+		if batchCosts[i] != refCosts[i] {
+			t.Fatalf("cost %d: engine %v != reference %v", i, batchCosts[i], refCosts[i])
 		}
 	}
 	// Sanity: the diverged costs must actually differ from the shared
@@ -223,16 +327,16 @@ func TestOptimalThresholdMatchesLegacyGrid(t *testing.T) {
 
 	gotThr, gotCost := OptimalThreshold(forest, nil, byNode, sampler, cfg)
 
-	// Legacy reference: one full replay per grid point.
+	// Reference: one full per-policy walk per grid point.
 	best, bestCost, first := 0.0, 0.0, true
 	for _, thr := range DefaultThresholdGrid {
-		res := Replay(&policies.RFThreshold{Forest: forest, Threshold: thr}, byNode, sampler, cfg)
+		res := referenceReplay(&policies.RFThreshold{Forest: forest, Threshold: thr}, byNode, sampler, cfg)
 		if first || res.TotalCost() < bestCost {
 			best, bestCost, first = thr, res.TotalCost(), false
 		}
 	}
 	if gotThr != best || gotCost != bestCost {
-		t.Fatalf("single-pass threshold (%v, %v) != legacy (%v, %v)", gotThr, gotCost, best, bestCost)
+		t.Fatalf("single-pass threshold (%v, %v) != reference (%v, %v)", gotThr, gotCost, best, bestCost)
 	}
 }
 
@@ -246,10 +350,10 @@ func TestReplayAllEmptyAndDegenerate(t *testing.T) {
 	if len(out) != 1 || out[0].Decisions != 0 || out[0].Policy != "Never-mitigate" {
 		t.Fatalf("empty ticks: %+v", out)
 	}
-	// Nodes with empty tick slices are skipped, like Replay.
+	// Nodes with empty tick slices are skipped, like the reference walk.
 	out = ReplayAll([]policies.Decider{policies.Always{}},
 		[][]errlog.Tick{{}, ueScenario()[0], {}}, sampler, replayCfg())
-	want := Replay(policies.Always{}, ueScenario(), sampler, replayCfg())
+	want := referenceReplay(policies.Always{}, ueScenario(), sampler, replayCfg())
 	requireIdentical(t, "degenerate", out[0], want)
 }
 

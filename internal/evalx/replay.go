@@ -14,10 +14,8 @@ import (
 
 	"repro/internal/env"
 	"repro/internal/errlog"
-	"repro/internal/features"
 	"repro/internal/jobs"
 	"repro/internal/mathx"
-	"repro/internal/parx"
 	"repro/internal/policies"
 )
 
@@ -126,128 +124,11 @@ func (c ReplayConfig) inWindow(t time.Time) bool {
 
 // Replay runs one policy over the per-node tick sequences, accounting costs
 // and classification metrics inside the configured window. All policies
-// replayed with the same ReplayConfig see identical job sequences.
-//
-// Nodes are independent worlds, so they replay in parallel across a bounded
-// worker pool (ReplayConfig.Parallelism). Determinism is preserved by
-// construction: per-node RNGs are forked serially in node order before any
-// worker starts, each worker accumulates into its own per-node Result, and
-// the partials reduce in node order — so serial and parallel runs produce
-// bit-identical Results.
+// replayed with the same ReplayConfig see identical job sequences. It is
+// the single-policy entry point of the replay engine (ReplayAll), so one
+// policy and a batch of policies are scored by the same per-node walk.
 func Replay(d policies.Decider, ticksByNode [][]errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig) Result {
-	res := Result{Policy: d.Name()}
-	rng := mathx.NewRNG(cfg.JobSeed)
-
-	type nodeWork struct {
-		ticks []errlog.Tick
-		rng   *mathx.RNG
-	}
-	work := make([]nodeWork, 0, len(ticksByNode))
-	for _, ticks := range ticksByNode {
-		if len(ticks) == 0 {
-			continue
-		}
-		work = append(work, nodeWork{ticks: ticks, rng: rng.Fork()})
-	}
-
-	workers := parx.Workers(cfg.Parallelism)
-	if !policies.IsConcurrentSafe(d) {
-		workers = 1
-	}
-	partials := make([]Result, len(work))
-	parx.For(len(work), workers, func(i int) {
-		replayNode(d, work[i].ticks, sampler, cfg, work[i].rng, &partials[i])
-	})
-	for i := range partials {
-		res.Add(partials[i])
-	}
-	res.Metrics.FPs = res.Metrics.Mitigations - res.Metrics.TPs
-	res.Metrics.TNs = res.Metrics.NonMitigations - res.Metrics.FNs
-	return res
-}
-
-// replayNode replays one node's tick sequence.
-func replayNode(d policies.Decider, ticks []errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig, rng *mathx.RNG, res *Result) {
-	tracker := features.NewTracker()
-	tl := env.NewTimeline(sampler, rng.Fork(), cfg.Env.Restartable, ticks[0].Time)
-	costRNG := rng.Fork()
-	mitCost := cfg.Env.MitigationCostNodeHours()
-	overhead := time.Duration(cfg.Env.MitigationCostNodeMinutes * float64(time.Minute))
-
-	// Recent mitigation times (for the §4.4 prediction window) and the
-	// last event time (to detect UEs with no event in the preceding day).
-	var mitigations []time.Time
-	var lastEvent time.Time
-	var haveEvent bool
-	lastOverride := 0.0
-
-	for _, tick := range ticks {
-		tl.AdvanceTo(tick.Time)
-		if tick.HasUE() {
-			ut := ueEventTime(tick)
-			cost := tl.OnUE(ut)
-			if cfg.CostOverride != nil {
-				cost = lastOverride
-			}
-			tracker.Observe(tick, 0)
-			if cfg.inWindow(ut) {
-				res.UEs++
-				res.UECost += cost
-				// §4.4: TP if a mitigation completed within the preceding
-				// 24 h (initiated at least the mitigation overhead before
-				// the UE); otherwise FN. UEs with no event in the window
-				// are implicit "no-mitigate" false negatives.
-				mitigated := false
-				for i := len(mitigations) - 1; i >= 0; i-- {
-					dt := ut.Sub(mitigations[i])
-					if dt > PredictionWindow {
-						break
-					}
-					if dt >= overhead {
-						mitigated = true
-						break
-					}
-				}
-				if mitigated {
-					res.Metrics.TPs++
-				} else {
-					res.Metrics.FNs++
-					if !haveEvent || ut.Sub(lastEvent) > PredictionWindow {
-						// Implicit non-mitigation for the unreachable UE.
-						res.Metrics.NonMitigations++
-					}
-				}
-			}
-			lastEvent, haveEvent = ut, true
-			continue
-		}
-
-		ueCost := tl.CostAt(tick.Time)
-		if cfg.CostOverride != nil {
-			ueCost = cfg.CostOverride(costRNG)
-			lastOverride = ueCost
-		}
-		v := tracker.Observe(tick, ueCost)
-		mitigate := d.Decide(policies.Context{Node: tick.Node, Time: tick.Time, Features: v})
-		if mitigate {
-			tl.Mitigate(tick.Time)
-			mitigations = append(mitigations, tick.Time)
-			// Trim the window to bound memory.
-			if len(mitigations) > 64 {
-				mitigations = mitigations[len(mitigations)-64:]
-			}
-		}
-		if cfg.inWindow(tick.Time) {
-			res.Decisions++
-			if mitigate {
-				res.MitigationCost += mitCost
-				res.Metrics.Mitigations++
-			} else {
-				res.Metrics.NonMitigations++
-			}
-		}
-		lastEvent, haveEvent = tick.Time, true
-	}
+	return ReplayAll([]policies.Decider{d}, ticksByNode, sampler, cfg)[0]
 }
 
 // ueEventTime returns the first UE timestamp in the tick.
@@ -270,27 +151,11 @@ const OracleOverhead = 2 * time.Minute
 // same node that precedes it by at least the mitigation overhead and at
 // most the prediction window. UEs with no such tick are unreachable — the
 // Oracle skips them, which is why Table 2 reports 42 mitigations, zero
-// false positives and the 63% recall ceiling.
+// false positives and the 63% recall ceiling. It builds the Oracle index
+// of the ticks and queries it once; a TickArtifacts serves repeated window
+// queries from its memoized index instead.
 func OraclePoints(ticksByNode [][]errlog.Tick, from, to time.Time) map[policies.OracleKey]bool {
-	points := map[policies.OracleKey]bool{}
-	for _, ticks := range ticksByNode {
-		lastDecision := time.Time{}
-		haveDecision := false
-		for _, tick := range ticks {
-			if tick.HasUE() {
-				ut := ueEventTime(tick)
-				inWin := (from.IsZero() || !ut.Before(from)) && (to.IsZero() || ut.Before(to))
-				gap := ut.Sub(lastDecision)
-				if haveDecision && inWin && gap >= OracleOverhead && gap <= PredictionWindow {
-					points[policies.OracleKey{Node: tick.Node, Time: lastDecision}] = true
-				}
-				continue
-			}
-			lastDecision = tick.Time
-			haveDecision = true
-		}
-	}
-	return points
+	return oracleWindow(oracleIndex(ticksByNode), from, to)
 }
 
 // String renders a result as a compact report row.

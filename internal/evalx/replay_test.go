@@ -169,6 +169,16 @@ func TestOraclePoints(t *testing.T) {
 		mkTick(1, 9*time.Hour, errlog.CE),
 		mkTick(1, 10*time.Hour, errlog.UE),
 		mkTick(1, 20*time.Hour, errlog.CE),
+	}, {
+		// Unreachable: the last decision precedes the UE by less than the
+		// mitigation overhead.
+		mkTick(2, 0, errlog.CE),
+		mkTick(2, time.Minute, errlog.UE),
+	}, {
+		// Unreachable: the last decision precedes the UE by more than the
+		// prediction window.
+		mkTick(3, 0, errlog.CE),
+		mkTick(3, 30*time.Hour, errlog.UE),
 	}}
 	pts := OraclePoints(ticks, time.Time{}, time.Time{})
 	if len(pts) != 1 {

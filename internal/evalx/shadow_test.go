@@ -71,7 +71,7 @@ func TestShadowEvalWindowAndOverheadBoundaries(t *testing.T) {
 
 func TestShadowEvalImplicitNonMitigationParity(t *testing.T) {
 	// A UE with no event on its node in the preceding window is an
-	// implicit no-mitigate decision, exactly as replayNode accounts it —
+	// implicit no-mitigate decision, exactly as replayNodeAll accounts it —
 	// without it, an always-mitigating policy's TN count would go
 	// negative.
 	s := NewShadowEval("cand", shadowCfg())

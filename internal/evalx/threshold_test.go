@@ -69,11 +69,11 @@ func TestOptimalThresholdPicksArgmin(t *testing.T) {
 
 	best, bestCost := OptimalThreshold(forest, grid, byNode, sampler, cfg)
 
-	// The returned pair must be the exact argmin of independent replays
-	// over the same grid (first minimum wins on ties).
+	// The returned pair must be the exact argmin of independent reference
+	// replays over the same grid (first minimum wins on ties).
 	wantThr, wantCost, first := 0.0, 0.0, true
 	for _, thr := range grid {
-		res := Replay(&policies.RFThreshold{Forest: forest, Threshold: thr}, byNode, sampler, cfg)
+		res := referenceReplay(&policies.RFThreshold{Forest: forest, Threshold: thr}, byNode, sampler, cfg)
 		if first || res.TotalCost() < wantCost {
 			wantThr, wantCost, first = thr, res.TotalCost(), false
 		}

@@ -51,9 +51,10 @@ type Config struct {
 // Budgets tracks spend against the configured budgets and answers the
 // allow/deny checks. Charges come from the authoritative served-decision
 // stream (the root Guard's ObserveDecision / promotion path); Allow
-// checks are read-shaped (they only advance window expiry) and are what
-// Recommend consults on its hot path. Budgets is safe for concurrent
-// use.
+// checks and the spend reports are read-only — they compute each window's
+// sum as of the consult time without advancing it, so only charges move a
+// window — and are what Recommend consults on its hot path. Budgets is
+// safe for concurrent use.
 type Budgets struct {
 	cfg Config
 	mu  sync.Mutex
@@ -111,7 +112,7 @@ func (b *Budgets) AllowMitigation(node int, at time.Time, costNodeHours float64)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cfg.NodeCheckpointNodeHours > 0 {
-		if b.node(node).Total(at)+costNodeHours > b.cfg.NodeCheckpointNodeHours {
+		if b.nodeSpend(node, at)+costNodeHours > b.cfg.NodeCheckpointNodeHours {
 			return false, ReasonNodeBudget
 		}
 	}
@@ -164,6 +165,13 @@ func (b *Budgets) ChargePromotion(at time.Time) {
 func (b *Budgets) NodeSpend(node int, at time.Time) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.nodeSpend(node, at)
+}
+
+// nodeSpend is NodeSpend under the lock; it never creates a window.
+//
+//uerl:locked mu
+func (b *Budgets) nodeSpend(node int, at time.Time) float64 {
 	w, ok := b.nodes[node]
 	if !ok {
 		return 0

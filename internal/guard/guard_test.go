@@ -45,6 +45,24 @@ func TestWindowOutOfOrderAdds(t *testing.T) {
 	}
 }
 
+// TestWindowTotalIsReadOnly: a consult stamped far ahead of the charge
+// stream must not expire the window for the in-order charges after it.
+func TestWindowTotalIsReadOnly(t *testing.T) {
+	w := NewWindow(time.Hour)
+	w.Add(t0, 2)
+	if got := w.Total(t0.Add(2 * w.Span())); got != 0 {
+		t.Fatalf("Total two spans ahead = %v, want 0", got)
+	}
+	w.Add(t0.Add(time.Minute), 3)
+	if got := w.Total(t0.Add(time.Minute)); got != 5 {
+		t.Fatalf("Total after a future consult = %v, want 5 (both charges)", got)
+	}
+	// A past consult is clamped to the newest charged bucket.
+	if got := w.Total(t0.Add(-time.Hour)); got != 5 {
+		t.Fatalf("Total in the past = %v, want 5", got)
+	}
+}
+
 func TestBudgetsNodeCheckpoint(t *testing.T) {
 	b := NewBudgets(Config{NodeCheckpointNodeHours: 0.1, NodeWindow: time.Hour})
 	cost := 2.0 / 60 // 2 node-minutes

@@ -84,11 +84,27 @@ func (w *Window) Add(at time.Time, v float64) {
 	w.total += v
 }
 
-// Total reports the window sum as of time at, first expiring anything
-// older than the span.
+// Total reports the window sum as of time at without mutating the
+// window — only Add advances it — so a consult stamped ahead of the
+// charge stream (a skewed client clock, a probe at the end of a run)
+// cannot expire spend that later in-order charges still count against.
+// Buckets that would rotate out by at are subtracted in advance's order,
+// so the sum is bit-identical to what advancing would leave. A past at,
+// before the newest charged bucket, is clamped to that bucket and reports
+// the current total.
 func (w *Window) Total(at time.Time) float64 {
-	w.advance(w.index(at))
-	return w.total
+	idx := w.index(at)
+	if w.epoch < 0 || idx <= w.epoch {
+		return w.total
+	}
+	if idx-w.epoch >= windowBuckets {
+		return 0
+	}
+	total := w.total
+	for i := w.epoch + 1; i <= idx; i++ {
+		total -= w.sums[w.slot(i)]
+	}
+	return total
 }
 
 // Span reports the window's effective span (bucket-quantized).
