@@ -99,8 +99,7 @@ func main() {
 	epochSteps := flag.Int("epoch-steps", 64, "gradient steps per retraining epoch")
 	shadow := flag.Int("shadow", 128, "shadow decisions required before promotion is judged")
 	shadowUEs := flag.Int("shadow-ues", 1, "realized UEs required in the shadow window before promotion is judged (0 judges on mitigation spend alone)")
-	kernel := flag.String("kernel", "reference", "training kernel/stream version: reference (bit-exact legacy stream) or fast (FMA kernels + data-parallel chunked gradients; serving inference always uses reference)")
-	trainWorkers := flag.Int("train-workers", 0, "workers computing minibatch chunk gradients under -kernel fast (0 = GOMAXPROCS; weights are bit-identical for every value)")
+	kernel := flag.String("kernel", "reference", "training kernel/stream version: reference (bit-exact legacy stream) or fast (FMA kernels + chunked gradients reduced in chunk order; serving inference always uses reference)")
 	save := flag.String("save", "", "save the final serving model artifact to this path")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the text log")
 	scenarioFile := flag.String("scenario", "", "run a declarative scenario spec (JSON file) through the deterministic scenario harness; stream/drift/fault/workload/lifecycle flags are taken from the spec")
@@ -233,7 +232,6 @@ func main() {
 		uerl.WithRetraining(*retrainMin, *epochSteps),
 		uerl.WithShadowGate(*shadow, *shadowUEs),
 		uerl.WithLearnerKernel(kernelVersion),
-		uerl.WithLearnerTrainWorkers(*trainWorkers),
 	}
 	var g *uerl.Guard
 	if *guarded && ctl != nil {

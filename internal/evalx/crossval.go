@@ -53,12 +53,6 @@ type CVConfig struct {
 	// RLEpisodes overrides the preset's per-candidate episode budget when
 	// positive.
 	RLEpisodes int
-	// TrainParallelism bounds the hyperparameter-search worker pool: 0
-	// selects GOMAXPROCS, 1 trains candidates serially. Each in-flight
-	// candidate holds its own networks and replay buffer (~10+ MB at
-	// paper scale), so memory-constrained runs should bound this.
-	// Selection is deterministic for every value.
-	TrainParallelism int
 	// Cache, when non-nil, memoizes the config-invariant artifacts (tick
 	// pipeline, per-split RF datasets and forests, optimal thresholds,
 	// trained RL policies) across runs sharing a Cache — e.g. the full
@@ -66,10 +60,11 @@ type CVConfig struct {
 	// or without it.
 	Cache *Cache
 	// Kernel pins the nn kernel/stream version RL training runs under. Zero
-	// selects nn.KernelFast (the FMA kernels, chunked data-parallel
-	// training, PCG env RNG); nn.KernelReference reproduces the training
-	// trajectories of pre-versioned seeds bit-exactly. Either stream is
-	// fully deterministic; they differ only in floating-point rounding.
+	// selects nn.KernelFast (the FMA kernels, chunked minibatch gradients
+	// reduced in chunk-index order, PCG env RNG); nn.KernelReference
+	// reproduces the training trajectories of pre-versioned seeds
+	// bit-exactly. Either stream is fully deterministic; they differ only
+	// in floating-point rounding.
 	Kernel int
 }
 
@@ -485,17 +480,16 @@ func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warm **nn.Networ
 // policy and online network of the best candidate.
 //
 // Candidates are independent given the incoming warm-start network (which is
-// only cloned), so they train and score across a bounded worker pool. The
-// winner is reduced deterministically — lowest validation cost, ties broken
-// by candidate index — which is exactly the serial loop's selection rule,
-// so the search returns the same model for any worker count.
+// only cloned), so they train and score across a GOMAXPROCS worker pool.
+// The winner is reduced deterministically — lowest validation cost, ties
+// broken by candidate index — which is exactly the serial loop's selection
+// rule, so the search returns the same model for any worker count.
 //
 // Under nn.KernelFast (the default, see CVConfig.Kernel) each candidate
-// trains data-parallel: rl.TrainVec steps DefaultEnvFanout environments
-// per round (each with its own pre-seeded PCG stream) and the chunked
-// trainer reduces minibatch gradients in chunk-index order, so results stay
-// bit-identical for every worker count. nn.KernelReference reproduces the
-// pre-versioned serial trajectories exactly.
+// trains vectorized: rl.TrainVec steps DefaultEnvFanout environments per
+// round (each with its own pre-seeded PCG stream) and the agent reduces
+// chunked minibatch gradients in chunk-index order. nn.KernelReference
+// reproduces the pre-versioned serial trajectories exactly.
 func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, spec splitSpec, useValidation bool, warmStart *nn.Network) (rl.Policy, *nn.Network) {
 	if len(trainTicks) == 0 {
 		return rl.PolicyFunc(func([]float64) int { return env.ActionNone }), nil
@@ -512,7 +506,7 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 
 	// Reduce to a running minimum as candidates finish instead of retaining
 	// every trained agent until the end: losers become garbage immediately,
-	// so peak memory is one agent per in-flight worker (TrainParallelism)
+	// so peak memory is one agent per in-flight worker (GOMAXPROCS)
 	// rather than one per candidate (~60 agents of 10+ MB each at paper
 	// scale). The total order (cost, candidate index) reproduces the serial
 	// selection rule — lowest cost, ties to the earliest candidate — for
@@ -523,7 +517,7 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 		bestCost float64
 		bestAg   *rl.Agent
 	)
-	parx.For(len(candidates), cfg.TrainParallelism, func(ci int) {
+	parx.For(len(candidates), 0, func(ci int) {
 		ac := candidates[ci]
 		ac.Kernel = kernel
 		envCfg := cfg.Env

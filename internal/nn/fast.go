@@ -42,9 +42,8 @@ func packLayer(fl *fastLayer, d *dense, outP int) {
 
 // ensureFast returns the up-to-date padded weight image, rebuilding it if
 // the weights changed since the last build. Shadows resolve to their
-// owner's image. Not safe against concurrent mutation: parallel readers
-// must prewarm via EnsureFast before fanning out (the chunked trainer
-// does), after which concurrent calls are read-only.
+// owner's image. A rebuild mutates the network, so concurrent KernelFast
+// forwards must not share a network whose image is stale.
 func (n *Network) ensureFast() *fastWeights {
 	if n.shadowOf != nil {
 		return n.shadowOf.ensureFast()
@@ -69,10 +68,6 @@ func (n *Network) ensureFast() *fastWeights {
 	return fw
 }
 
-// EnsureFast prewarms the KernelFast weight image so subsequent concurrent
-// forward passes (the chunked trainer's workers) never rebuild it.
-func (n *Network) EnsureFast() { n.ensureFast() }
-
 // InvalidateFast marks the weights as mutated so the next KernelFast use
 // rebuilds the padded image. Callers that mutate Param.W directly (the
 // optimizer step) must call it; CopyFrom/SoftUpdate/UnmarshalJSON handle it
@@ -86,10 +81,11 @@ func (n *Network) InvalidateFast() {
 }
 
 // GradShadow returns a network that shares n's weights (and padded weight
-// image) but owns private gradient accumulators. The chunked data-parallel
-// trainer gives each minibatch chunk a shadow so workers accumulate
-// gradients without contention, then reduces the shadows' gradients into
-// the master in chunk-index order. Shadows must not outlive weight shape
+// image) but owns private gradient accumulators. The chunked KernelFast
+// trainer computes each minibatch chunk's gradients into one shadow and
+// adds them into the owner with AccumulateGrads, chunk by chunk in
+// chunk-index order — an association that differs from accumulating every
+// sample into the owner directly. Shadows must not outlive weight shape
 // changes on the owner, and BackwardBatch on a shadow accumulates into the
 // shadow's own Params().
 func (n *Network) GradShadow() *Network {

@@ -24,10 +24,9 @@ const (
 	// over zero-padded weights, FMA gradient accumulation, Adam with
 	// precomputed reciprocal bias corrections, the O(copy)-forkable PCG RNG
 	// source, fixed-size minibatch chunking with in-order gradient
-	// reduction, and vectorized environment stepping. It is deterministic
-	// for every worker count and GOMAXPROCS, and bit-identical between the
-	// AVX2 kernels and their pure-Go math.FMA fallbacks, but it is a
-	// different rounding stream than KernelReference.
+	// reduction, and vectorized environment stepping. It is deterministic,
+	// and bit-identical between the AVX2 kernels and their pure-Go math.FMA
+	// fallbacks, but it is a different rounding stream than KernelReference.
 	KernelFast = 2
 )
 
@@ -129,9 +128,8 @@ func fwdLayerFast(w, bias, x, y []float64, nb, inP, out, outP int, relu bool) {
 
 // AccumulateGrads adds src's accumulated gradients into dst's, element-wise
 // (dst.G[i] += 1*src.G[i], which is exact). It is the in-order reduction
-// step of chunked data-parallel training: the caller adds chunk gradients
-// in ascending chunk index, so the reduced gradient is independent of which
-// worker computed which chunk.
+// step of chunked training: the caller adds chunk gradients in ascending
+// chunk index, which fixes the floating-point association.
 func AccumulateGrads(dst, src []*Param) {
 	if len(dst) != len(src) {
 		panic("nn: AccumulateGrads parameter count mismatch")

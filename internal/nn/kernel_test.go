@@ -240,12 +240,10 @@ func TestKernelFastForwardMatchesReference(t *testing.T) {
 // TestGradShadowAccumulates pins GradShadow semantics: shadows share
 // weights with the owner, accumulate gradients privately, and the
 // chunk-index-ordered reduction is independent of which shadow computed
-// which chunk in which order — the worker-schedule invariance the chunked
-// trainer relies on.
+// which chunk in which order.
 func TestGradShadowAccumulates(t *testing.T) {
 	cfg := Config{Inputs: 5, Hidden: []int{8}, Outputs: 3, Dueling: true, Seed: 4}
 	n := New(cfg)
-	n.EnsureFast()
 	const nb = 4
 	rng := mathx.NewRNG(6)
 	xs := randSlice(rng, 2*nb*cfg.Inputs)
@@ -290,7 +288,6 @@ func TestGradShadowAccumulates(t *testing.T) {
 	// (after the owner's padded image is refreshed).
 	n.Params()[0].W[0] += 0.5
 	n.InvalidateFast()
-	n.EnsureFast()
 	q1 := append([]float64(nil), a.ForwardBatchInto(sA, xs[:nb*cfg.Inputs], nb)...)
 	q2 := n.ForwardBatchInto(n.NewBatchScratchKernel(nb, KernelFast), xs[:nb*cfg.Inputs], nb)
 	if !bitsEqual(q1, q2) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mathx"
 	"repro/internal/nn"
-	"repro/internal/parx"
 )
 
 // Environment is the MDP the agent interacts with (§3.2). An environment is
@@ -91,14 +90,9 @@ type AgentConfig struct {
 	// nn.KernelFast). Zero means nn.KernelReference, preserving the exact
 	// training trajectories of existing seeds. nn.KernelFast enables the
 	// FMA kernels, reciprocal Adam, the PCG exploration RNG, and chunked
-	// data-parallel training with in-order gradient reduction — a different
-	// (but equally deterministic) rounding stream, bit-identical for every
-	// TrainWorkers setting and GOMAXPROCS.
+	// minibatch gradients reduced in chunk-index order — a different (but
+	// equally deterministic) rounding stream.
 	Kernel int
-	// TrainWorkers bounds the workers that compute minibatch chunk
-	// gradients under nn.KernelFast; 0 means GOMAXPROCS. It never affects
-	// results, only wall time.
-	TrainWorkers int
 }
 
 // Validate reports configuration errors.
@@ -147,27 +141,24 @@ func (c AgentConfig) withDefaults() AgentConfig {
 // Agent is a dueling double deep Q-network agent with (optionally
 // prioritized) experience replay — the paper's learner (§3.3).
 type Agent struct {
-	cfg     AgentConfig
-	online  *nn.Network
-	target  *nn.Network
-	opt     *nn.Adam
-	replay  Replay
-	rng     *mathx.RNG
-	steps   int
-	scr     *nn.Scratch // online-net scratch
-	scrTgt  *nn.Scratch // target-net scratch
-	scrNext *nn.Scratch // second online scratch for double-DQN selection
-	dOut    []float64
+	cfg    AgentConfig
+	online *nn.Network
+	target *nn.Network
+	opt    *nn.Adam
+	replay Replay
+	rng    *mathx.RNG
+	steps  int
+	scr    *nn.Scratch // online-net scratch for Greedy/QValues
 
-	// Batched-training state: a whole PER minibatch runs through the
-	// networks as one GEMM-style pass, with all intermediate buffers
-	// preallocated so a train step allocates nothing. The online scratch
-	// holds two batches: current states and next states are concatenated
-	// as [S; NextS] and run through the online network in one launch
-	// (same weights), leaving the S activations in rows [0, B) for the
-	// backward pass.
-	bs          *nn.BatchScratch // online scratch, sized 2*B
-	bsTgt       *nn.BatchScratch // target scratch, sized B
+	// Batched-training state: a minibatch (or, under nn.KernelFast, one
+	// chunk of it) runs through the networks as one GEMM-style pass, with
+	// all intermediate buffers preallocated so a train step allocates
+	// nothing. The online scratch holds two batches: current states and
+	// next states are concatenated as [S; NextS] and run through the online
+	// network in one launch (same weights), leaving the S activations in
+	// rows [0, B) for the backward pass.
+	bs          *nn.BatchScratch // online scratch, sized 2*B (2*trainChunkSize under KernelFast)
+	bsTgt       *nn.BatchScratch // target scratch, sized B (trainChunkSize under KernelFast)
 	xs          []float64        // gathered [S; NextS] states [2*B*StateLen]
 	dOutB       []float64        // batched output gradient [B*NumActions]
 	nextVal     []float64        // bootstrap values [B]
@@ -176,32 +167,17 @@ type Agent struct {
 	sampHandles []int
 	sampWs      []float64
 
-	// Chunked data-parallel training state (nn.KernelFast only): the
-	// minibatch splits into fixed trainChunkSize chunks; each chunk computes
-	// gradients into its own weight-sharing shadow network, and the shadows
-	// reduce into the online network in chunk-index order. Chunk geometry
-	// depends only on BatchSize — never on TrainWorkers or GOMAXPROCS — so
-	// trained weights are bit-identical for every worker count.
-	shadows     []*nn.Network
-	chunkScr    []*nn.BatchScratch
-	chunkTgtScr []*nn.BatchScratch
-	chunkXS     [][]float64
-	chunkDOut   [][]float64
-	chunkNext   [][]float64
-	chunkLoss   []float64
-	chunkN      int       // samples in the minibatch being chunked
-	chunkFn     func(int) // preallocated parx.For body (keeps train steps alloc-free)
-
-	// serialTrain forces the legacy one-transition-at-a-time training loop;
-	// it exists only so tests can verify the batched path reproduces the
-	// serial gradients exactly.
-	serialTrain bool
+	// shadow is the online network's gradient shadow (nn.KernelFast only):
+	// each minibatch chunk's gradients are computed into it and then added
+	// into the online network in chunk-index order. Nil under
+	// nn.KernelReference, which takes the whole minibatch in one pass.
+	shadow *nn.Network
 }
 
 // trainChunkSize is the fixed minibatch chunk width of the nn.KernelFast
-// data-parallel trainer. It is a constant of the stream definition: changing
-// it changes the gradient-reduction association and therefore the trained
-// weights, so it must only move together with a kernel version bump.
+// trainer. It is a constant of the stream definition: changing it changes
+// the gradient-reduction association and therefore the trained weights, so
+// it must only move together with a kernel version bump.
 const trainChunkSize = 8
 
 // NewAgent builds an agent with the given replay buffer (pass
@@ -234,20 +210,15 @@ func NewAgent(cfg AgentConfig, replay Replay) *Agent {
 		replay: replay,
 		rng:    rng,
 	}
-	a.scr = a.online.NewScratch()
-	a.scrNext = a.online.NewScratch()
-	a.scrTgt = a.target.NewScratch()
-	a.dOut = make([]float64, cfg.NumActions)
 	a.initBatchState()
 	return a
 }
 
-// initBatchState (re)allocates the batched-training buffers for the current
-// networks.
+// initBatchState (re)allocates the inference scratch and the batched-training
+// buffers for the current networks.
 func (a *Agent) initBatchState() {
 	b := a.cfg.BatchSize
-	a.bs = a.online.NewBatchScratch(2 * b)
-	a.bsTgt = a.target.NewBatchScratch(b)
+	a.scr = a.online.NewScratch()
 	a.xs = make([]float64, 2*b*a.cfg.StateLen)
 	a.dOutB = make([]float64, b*a.cfg.NumActions)
 	a.nextVal = make([]float64, b)
@@ -256,24 +227,13 @@ func (a *Agent) initBatchState() {
 	a.sampHandles = make([]int, b)
 	a.sampWs = make([]float64, b)
 	if a.cfg.Kernel == nn.KernelFast {
-		nchunks := (b + trainChunkSize - 1) / trainChunkSize
-		a.shadows = make([]*nn.Network, nchunks)
-		a.chunkScr = make([]*nn.BatchScratch, nchunks)
-		a.chunkTgtScr = make([]*nn.BatchScratch, nchunks)
-		a.chunkXS = make([][]float64, nchunks)
-		a.chunkDOut = make([][]float64, nchunks)
-		a.chunkNext = make([][]float64, nchunks)
-		a.chunkLoss = make([]float64, nchunks)
-		for c := range a.shadows {
-			sh := a.online.GradShadow()
-			a.shadows[c] = sh
-			a.chunkScr[c] = sh.NewBatchScratchKernel(2*trainChunkSize, nn.KernelFast)
-			a.chunkTgtScr[c] = a.target.NewBatchScratchKernel(trainChunkSize, nn.KernelFast)
-			a.chunkXS[c] = make([]float64, 2*trainChunkSize*a.cfg.StateLen)
-			a.chunkDOut[c] = make([]float64, trainChunkSize*a.cfg.NumActions)
-			a.chunkNext[c] = make([]float64, trainChunkSize)
-		}
-		a.chunkFn = func(c int) { a.trainChunk(c, a.chunkN) }
+		a.shadow = a.online.GradShadow()
+		a.bs = a.shadow.NewBatchScratchKernel(2*trainChunkSize, nn.KernelFast)
+		a.bsTgt = a.target.NewBatchScratchKernel(trainChunkSize, nn.KernelFast)
+	} else {
+		a.shadow = nil
+		a.bs = a.online.NewBatchScratch(2 * b)
+		a.bsTgt = a.target.NewBatchScratch(b)
 	}
 }
 
@@ -295,9 +255,6 @@ func (a *Agent) SetOnline(net *nn.Network) {
 	a.online = net
 	a.target = net.Clone()
 	a.opt = &nn.Adam{LR: a.cfg.LearningRate, Recip: a.cfg.Kernel == nn.KernelFast}
-	a.scr = a.online.NewScratch()
-	a.scrNext = a.online.NewScratch()
-	a.scrTgt = a.target.NewScratch()
 	a.initBatchState()
 }
 
@@ -372,50 +329,69 @@ func (a *Agent) SyncTarget() { a.target.CopyFrom(a.online) }
 // returning the mean loss. TD targets follow double DQN when configured:
 // y = r + gamma * Q_target(s', argmax_a Q_online(s', a)).
 //
-// The whole batch runs through the networks as three batched forward
-// passes (online/target on next states, online on current states), a
-// vectorized TD-target computation, and one batched backward + Adam step.
-// The batched kernels accumulate in the same order as the serial loop, so
-// gradients — and therefore training trajectories — are bit-identical to
-// the one-transition-at-a-time implementation (see trainBatchSerial).
+// Under nn.KernelReference the whole minibatch runs through tdGrad on the
+// online network in one pass; the batched kernels accumulate in the same
+// order as a one-transition-at-a-time loop, so the gradients are
+// bit-identical to it. Under nn.KernelFast the minibatch splits into fixed
+// trainChunkSize chunks: each chunk's gradients land in the gradient shadow
+// and are added into the online network in chunk-index order. That chunked
+// association is one of the rounding changes the nn.KernelFast version pin
+// covers.
 //
 //uerl:hotpath
 func (a *Agent) trainBatch() float64 {
-	if a.serialTrain {
-		return a.trainBatchSerial()
-	}
-	if a.cfg.Kernel == nn.KernelFast {
-		return a.trainBatchChunked()
-	}
 	n := a.replay.SampleInto(a.rng, a.sampTrs, a.sampHandles, a.sampWs)
 	if n == 0 {
 		return 0
 	}
-	L := a.cfg.StateLen
-	A := a.cfg.NumActions
-	trs := a.sampTrs[:n]
+	var totalLoss float64
+	if a.shadow == nil {
+		totalLoss = a.tdGrad(a.online, 0, n, n)
+	} else {
+		a.online.ZeroGrad()
+		for lo := 0; lo < n; lo += trainChunkSize {
+			totalLoss += a.tdGrad(a.shadow, lo, min(lo+trainChunkSize, n), n)
+			nn.AccumulateGrads(a.online.Params(), a.shadow.Params())
+		}
+	}
+	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
+	a.opt.Step(a.online.Params())
+	a.online.InvalidateFast()
+	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
+	return totalLoss / float64(n)
+}
+
+// tdGrad overwrites net's gradients with the TD-loss gradients of sampled
+// rows [lo, hi) of an n-sample minibatch and returns the rows' summed
+// importance-weighted loss. net is the online network or its gradient
+// shadow (same weights). One online launch covers both halves of
+// [S; NextS] — per-sample outputs are independent, so each half is
+// bit-identical to a separate forward, and the S activations land in
+// scratch rows [0, m) where the backward pass reads them. Bootstrap values
+// come from the target net on the NextS half; terminal rows hold stale
+// buffer contents and their outputs are computed but never read.
+//
+//uerl:hotpath
+func (a *Agent) tdGrad(net *nn.Network, lo, hi, n int) float64 {
+	m := hi - lo
+	L, A := a.cfg.StateLen, a.cfg.NumActions
+	trs := a.sampTrs[lo:hi]
 	anyLive := false
 	for i := range trs {
 		copy(a.xs[i*L:(i+1)*L], trs[i].S)
 		if !trs[i].Done {
-			copy(a.xs[(n+i)*L:(n+i+1)*L], trs[i].NextS)
+			copy(a.xs[(m+i)*L:(m+i+1)*L], trs[i].NextS)
 			anyLive = true
 		}
 	}
-	a.online.ZeroGrad()
-	// One online launch covers both halves of [S; NextS] — per-sample
-	// outputs are independent, so each half is bit-identical to a separate
-	// forward, and the S activations land in scratch rows [0, n) where the
-	// backward pass reads them. Bootstrap values come from the target net
-	// on the NextS half; terminal rows hold stale buffer contents and
-	// their outputs are computed but never read.
+	net.ZeroGrad()
 	var q []float64
 	switch {
 	case anyLive && a.cfg.DoubleDQN:
-		qTgt := a.target.ForwardBatchInto(a.bsTgt, a.xs[n*L:2*n*L], n)
-		qBoth := a.online.ForwardBatchInto(a.bs, a.xs[:2*n*L], 2*n)
-		q = qBoth[:n*A]
-		qNext := qBoth[n*A : 2*n*A]
+		qTgt := a.target.ForwardBatchInto(a.bsTgt, a.xs[m*L:2*m*L], m)
+		qBoth := net.ForwardBatchInto(a.bs, a.xs[:2*m*L], 2*m)
+		q = qBoth[:m*A]
+		qNext := qBoth[m*A : 2*m*A]
 		for i := range trs {
 			if trs[i].Done {
 				continue
@@ -426,8 +402,8 @@ func (a *Agent) trainBatch() float64 {
 	case anyLive:
 		// Vanilla DQN bootstraps from the target net alone, so only the S
 		// half goes through the online network.
-		qTgt := a.target.ForwardBatchInto(a.bsTgt, a.xs[n*L:2*n*L], n)
-		q = a.online.ForwardBatchInto(a.bs, a.xs[:n*L], n)
+		qTgt := a.target.ForwardBatchInto(a.bsTgt, a.xs[m*L:2*m*L], m)
+		q = net.ForwardBatchInto(a.bs, a.xs[:m*L], m)
 		for i := range trs {
 			if trs[i].Done {
 				continue
@@ -436,185 +412,27 @@ func (a *Agent) trainBatch() float64 {
 			a.nextVal[i] = row[mathx.ArgMax(row)]
 		}
 	default:
-		q = a.online.ForwardBatchInto(a.bs, a.xs[:n*L], n)
+		q = net.ForwardBatchInto(a.bs, a.xs[:m*L], m)
 	}
-	dOut := a.dOutB[:n*A]
+	dOut := a.dOutB[:m*A]
 	for i := range dOut {
 		dOut[i] = 0
 	}
-	totalLoss := 0.0
+	loss := 0.0
 	for i := range trs {
 		target := trs[i].R
 		if !trs[i].Done {
 			target += a.cfg.Gamma * a.nextVal[i]
 		}
 		pred := q[i*A+trs[i].A]
-		loss, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
-		a.tdErrs[i] = pred - target
-		w := a.sampWs[i] / float64(n)
-		totalLoss += loss * a.sampWs[i]
-		dOut[i*A+trs[i].A] = dPred * w
-	}
-	a.online.BackwardBatch(a.bs, dOut, n)
-	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
-	a.opt.Step(a.online.Params())
-	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
-	return totalLoss / float64(n)
-}
-
-// trainBatchSerial is the reference one-transition-at-a-time training loop
-// the batched path is verified against. It consumes the same RNG stream and
-// produces the same gradients as trainBatch.
-func (a *Agent) trainBatchSerial() float64 {
-	n := a.replay.SampleInto(a.rng, a.sampTrs, a.sampHandles, a.sampWs)
-	if n == 0 {
-		return 0
-	}
-	trs, ws := a.sampTrs[:n], a.sampWs[:n]
-	a.online.ZeroGrad()
-	totalLoss := 0.0
-	for i := range trs {
-		tr := trs[i]
-		target := tr.R
-		if !tr.Done {
-			var next float64
-			if a.cfg.DoubleDQN {
-				qNext := a.online.ForwardInto(a.scrNext, tr.NextS)
-				best := mathx.ArgMax(qNext)
-				qTgt := a.target.ForwardInto(a.scrTgt, tr.NextS)
-				next = qTgt[best]
-			} else {
-				qTgt := a.target.ForwardInto(a.scrTgt, tr.NextS)
-				next = qTgt[mathx.ArgMax(qTgt)]
-			}
-			target += a.cfg.Gamma * next
-		}
-		q := a.online.ForwardInto(a.scr, tr.S)
-		pred := q[tr.A]
-		loss, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
-		a.tdErrs[i] = pred - target
-		w := ws[i] / float64(n)
-		totalLoss += loss * ws[i]
-		for j := range a.dOut {
-			a.dOut[j] = 0
-		}
-		a.dOut[tr.A] = dPred * w
-		a.online.Backward(a.scr, a.dOut)
-	}
-	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
-	a.opt.Step(a.online.Params())
-	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
-	return totalLoss / float64(n)
-}
-
-// trainBatchChunked is the nn.KernelFast training step: the sampled
-// minibatch splits into fixed trainChunkSize chunks, each chunk's gradients
-// are computed into its weight-sharing shadow network (by up to TrainWorkers
-// workers), and the shadows reduce into the online network in chunk-index
-// order. The in-order reduction fixes the floating-point association, so
-// trained weights are bit-identical for every worker count and GOMAXPROCS.
-// The chunked association differs from the sequential reference's, which is
-// one of the rounding changes the nn.KernelFast version pin covers.
-//
-//uerl:hotpath
-func (a *Agent) trainBatchChunked() float64 {
-	n := a.replay.SampleInto(a.rng, a.sampTrs, a.sampHandles, a.sampWs)
-	if n == 0 {
-		return 0
-	}
-	// Prewarm both packed-weight images serially; the parallel section below
-	// only reads them.
-	a.online.EnsureFast()
-	a.target.EnsureFast()
-	nchunks := (n + trainChunkSize - 1) / trainChunkSize
-	a.chunkN = n
-	parx.For(nchunks, a.cfg.TrainWorkers, a.chunkFn)
-	a.online.ZeroGrad()
-	for c := 0; c < nchunks; c++ {
-		nn.AccumulateGrads(a.online.Params(), a.shadows[c].Params())
-	}
-	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
-	a.opt.Step(a.online.Params())
-	a.online.InvalidateFast()
-	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
-	totalLoss := 0.0
-	for c := 0; c < nchunks; c++ {
-		totalLoss += a.chunkLoss[c]
-	}
-	return totalLoss / float64(n)
-}
-
-// trainChunk computes the TD gradients of chunk c of an n-sample minibatch
-// into the chunk's shadow network. Every write is chunk-private (shadow
-// gradients, chunk scratches, tdErrs[lo:hi], chunkLoss[c]); the online and
-// target packed weights are read-only here.
-func (a *Agent) trainChunk(c, n int) {
-	lo := c * trainChunkSize
-	hi := lo + trainChunkSize
-	if hi > n {
-		hi = n
-	}
-	m := hi - lo
-	L, A := a.cfg.StateLen, a.cfg.NumActions
-	shadow := a.shadows[c]
-	xs := a.chunkXS[c]
-	trs := a.sampTrs[lo:hi]
-	anyLive := false
-	for i := range trs {
-		copy(xs[i*L:(i+1)*L], trs[i].S)
-		if !trs[i].Done {
-			copy(xs[(m+i)*L:(m+i+1)*L], trs[i].NextS)
-			anyLive = true
-		}
-	}
-	shadow.ZeroGrad()
-	nextVal := a.chunkNext[c]
-	var q []float64
-	switch {
-	case anyLive && a.cfg.DoubleDQN:
-		qTgt := a.target.ForwardBatchInto(a.chunkTgtScr[c], xs[m*L:2*m*L], m)
-		qBoth := shadow.ForwardBatchInto(a.chunkScr[c], xs[:2*m*L], 2*m)
-		q = qBoth[:m*A]
-		qNext := qBoth[m*A : 2*m*A]
-		for i := range trs {
-			if trs[i].Done {
-				continue
-			}
-			best := mathx.ArgMax(qNext[i*A : (i+1)*A])
-			nextVal[i] = qTgt[i*A+best]
-		}
-	case anyLive:
-		qTgt := a.target.ForwardBatchInto(a.chunkTgtScr[c], xs[m*L:2*m*L], m)
-		q = shadow.ForwardBatchInto(a.chunkScr[c], xs[:m*L], m)
-		for i := range trs {
-			if trs[i].Done {
-				continue
-			}
-			row := qTgt[i*A : (i+1)*A]
-			nextVal[i] = row[mathx.ArgMax(row)]
-		}
-	default:
-		q = shadow.ForwardBatchInto(a.chunkScr[c], xs[:m*L], m)
-	}
-	dOut := a.chunkDOut[c][:m*A]
-	for i := range dOut {
-		dOut[i] = 0
-	}
-	chunkLoss := 0.0
-	for i := range trs {
-		target := trs[i].R
-		if !trs[i].Done {
-			target += a.cfg.Gamma * nextVal[i]
-		}
-		pred := q[i*A+trs[i].A]
-		loss, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
+		l, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
 		a.tdErrs[lo+i] = pred - target
 		w := a.sampWs[lo+i] / float64(n)
-		chunkLoss += loss * a.sampWs[lo+i]
+		loss += l * a.sampWs[lo+i]
 		dOut[i*A+trs[i].A] = dPred * w
 	}
-	shadow.BackwardBatch(a.chunkScr[c], dOut, m)
-	a.chunkLoss[c] = chunkLoss
+	net.BackwardBatch(a.bs, dOut, m)
+	return loss
 }
 
 // GreedyPolicy returns the deterministic policy induced by the current

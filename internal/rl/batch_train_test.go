@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mathx"
+	"repro/internal/nn"
 )
 
 // walkEnv is a deterministic 5-state random-walk MDP used to exercise the
@@ -69,36 +70,92 @@ func batchParityConfig() AgentConfig {
 	}
 }
 
-// TestBatchedTrainingMatchesSerial: with identical seeds and environments,
-// the batched train step must leave the agent's weights bit-identical to
-// the legacy one-transition-at-a-time loop after every training step.
+// trainBatchSerial is the reference one-transition-at-a-time train step
+// the nn.KernelReference batched path is verified against. It consumes the
+// same RNG stream as trainBatch and must produce the same gradients.
+func trainBatchSerial(a *Agent) float64 {
+	n := a.replay.SampleInto(a.rng, a.sampTrs, a.sampHandles, a.sampWs)
+	if n == 0 {
+		return 0
+	}
+	scr, scrTgt := a.online.NewScratch(), a.target.NewScratch()
+	dOut := make([]float64, a.cfg.NumActions)
+	trs, ws := a.sampTrs[:n], a.sampWs[:n]
+	a.online.ZeroGrad()
+	totalLoss := 0.0
+	for i, tr := range trs {
+		target := tr.R
+		if !tr.Done {
+			var next float64
+			if a.cfg.DoubleDQN {
+				best := mathx.ArgMax(a.online.ForwardInto(scr, tr.NextS))
+				next = a.target.ForwardInto(scrTgt, tr.NextS)[best]
+			} else {
+				qTgt := a.target.ForwardInto(scrTgt, tr.NextS)
+				next = qTgt[mathx.ArgMax(qTgt)]
+			}
+			target += a.cfg.Gamma * next
+		}
+		pred := a.online.ForwardInto(scr, tr.S)[tr.A]
+		loss, dPred := nn.HuberLoss(pred, target, a.cfg.HuberDelta)
+		a.tdErrs[i] = pred - target
+		totalLoss += loss * ws[i]
+		clear(dOut)
+		dOut[tr.A] = dPred * (ws[i] / float64(n))
+		a.online.Backward(scr, dOut)
+	}
+	nn.ClipGradNorm(a.online.Params(), a.cfg.GradClip)
+	a.opt.Step(a.online.Params())
+	a.replay.UpdatePriorities(a.sampHandles[:n], a.tdErrs[:n])
+	return totalLoss / float64(n)
+}
+
+// TestBatchedTrainingMatchesSerial: two identically seeded agents fed the
+// same experience must stay bit-identical when one trains with the batched
+// step and the other with the one-transition-at-a-time reference, checked
+// after every step. Periodic target syncs make the double-DQN bootstrap
+// read a target that differs from the online network.
 func TestBatchedTrainingMatchesSerial(t *testing.T) {
 	for _, double := range []bool{true, false} {
 		cfg := batchParityConfig()
 		cfg.DoubleDQN = double
-
 		mkReplay := func() Replay {
 			return NewPrioritizedReplay(PERConfig{Capacity: 1 << 10, Alpha: 0.6, Beta: 0.4, BetaSteps: 1000})
 		}
 		batched := NewAgent(cfg, mkReplay())
 		serial := NewAgent(cfg, mkReplay())
-		serial.serialTrain = true
 
-		envB := &walkEnv{rng: mathx.NewRNG(9)}
-		envS := &walkEnv{rng: mathx.NewRNG(9)}
-		Train(batched, envB, TrainOptions{Episodes: 60, MaxStepsPerEpisode: 64})
-		Train(serial, envS, TrainOptions{Episodes: 60, MaxStepsPerEpisode: 64})
-
-		if batched.Steps() != serial.Steps() {
-			t.Fatalf("double=%v: diverged step counts %d vs %d (action streams differ)",
-				double, batched.Steps(), serial.Steps())
+		env := &walkEnv{rng: mathx.NewRNG(9)}
+		behave := mathx.NewRNG(7)
+		state := env.Reset()
+		for i := 0; i < 300; i++ {
+			action := behave.Intn(2)
+			next, reward, done := env.Step(action)
+			tr := Transition{S: state, A: action, R: reward, NextS: next, Done: done}
+			batched.AddExperience(tr)
+			serial.AddExperience(tr)
+			state = next
+			if done {
+				state = env.Reset()
+			}
 		}
-		bp, sp := batched.Online().Params(), serial.Online().Params()
-		for pi := range bp {
-			for wi := range bp[pi].W {
-				if bp[pi].W[wi] != sp[pi].W[wi] {
-					t.Fatalf("double=%v: param %d weight %d diverged: batched %v vs serial %v",
-						double, pi, wi, bp[pi].W[wi], sp[pi].W[wi])
+
+		for step := 0; step < 80; step++ {
+			if step%10 == 0 {
+				batched.SyncTarget()
+				serial.SyncTarget()
+			}
+			lb, ls := batched.trainBatch(), trainBatchSerial(serial)
+			if lb != ls {
+				t.Fatalf("double=%v step %d: loss diverged: batched %v vs serial %v", double, step, lb, ls)
+			}
+			bp, sp := batched.Online().Params(), serial.Online().Params()
+			for pi := range bp {
+				for wi := range bp[pi].W {
+					if bp[pi].W[wi] != sp[pi].W[wi] {
+						t.Fatalf("double=%v step %d: param %d weight %d diverged: batched %v vs serial %v",
+							double, step, pi, wi, bp[pi].W[wi], sp[pi].W[wi])
+					}
 				}
 			}
 		}

@@ -221,7 +221,6 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 				HuberDelta:   1,
 				Seed:         cfg.seed,
 				Kernel:       cfg.kernel,
-				TrainWorkers: cfg.trainWorkers,
 			},
 			StreamCapacity: cfg.streamCapacity,
 			StepsPerEpoch:  cfg.epochSteps,

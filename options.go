@@ -111,7 +111,6 @@ type learnerConfig struct {
 	streamCapacity int
 	hidden         []int
 	kernel         int
-	trainWorkers   int
 
 	shadowMinDecisions int
 	shadowMinUEs       int
@@ -215,18 +214,11 @@ func WithLearnerNetwork(hidden ...int) LearnerOption {
 // trainer runs under (nn.KernelReference or nn.KernelFast). The default
 // (zero) keeps the reference stream, reproducing the training
 // trajectories of earlier builds bit-exactly; nn.KernelFast enables the
-// FMA kernels and chunked data-parallel gradient reduction, which are
-// deterministic for every worker count but round differently. Serving
-// inference always uses the reference stream regardless of this setting.
+// FMA kernels and chunked minibatch gradients reduced in chunk-index
+// order, which are deterministic but round differently. Serving inference
+// always uses the reference stream regardless of this setting.
 func WithLearnerKernel(kernel int) LearnerOption {
 	return func(c *learnerConfig) { c.kernel = kernel }
-}
-
-// WithLearnerTrainWorkers bounds the workers computing minibatch chunk
-// gradients when the learner trains under nn.KernelFast (0 means
-// GOMAXPROCS). The trained weights are bit-identical for every value.
-func WithLearnerTrainWorkers(n int) LearnerOption {
-	return func(c *learnerConfig) { c.trainWorkers = n }
 }
 
 // WithGuard attaches a Guard to the learner: the learner routes every

@@ -46,7 +46,7 @@ if [ -z "${BENCH_OUT:-}" ]; then
   done
   BENCH_OUT="BENCH_$((max + 1)).json"
 fi
-FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStep$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkDQNTrainEpochParallel$|BenchmarkFig3CostBenefit$}"
+FILTER="${FILTER:-BenchmarkNNForward$|BenchmarkNNForwardBatch$|BenchmarkNNTrainStep$|BenchmarkNNTrainStepBatched$|BenchmarkPERSample$|BenchmarkFeatureTracker$|BenchmarkReplayNever$|BenchmarkReplayNeverSerial$|BenchmarkControllerObserveEvent$|BenchmarkControllerObserveBatch$|BenchmarkControllerRecommendSerial$|BenchmarkControllerRecommendParallel$|BenchmarkDQNTrainEpoch$|BenchmarkFig3CostBenefit$}"
 
 txt="$(mktemp)"
 trap 'rm -f "$txt"' EXIT

@@ -18,8 +18,6 @@
 //	sys := uerl.NewSystem(uerl.WithSeed(42), uerl.WithBudgetCI())
 //	sys.Evaluate().Render(os.Stdout)
 //
-// (NewSystemFromConfig keeps the old Config-struct path working.)
-//
 // # The serving layer
 //
 // Every §4.2 approach implements the Policy interface. TrainPolicy fits
@@ -166,12 +164,6 @@ func NewSystem(opts ...SystemOption) *System {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewSystemFromConfig(cfg)
-}
-
-// NewSystemFromConfig generates the synthetic world for cfg — the
-// pre-options construction path, kept for existing callers.
-func NewSystemFromConfig(cfg Config) *System {
 	scale := experiments.ScaleFor(cfg.Budget.preset())
 	scale.Seed = cfg.Seed
 	if cfg.Scale > 0 {

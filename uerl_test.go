@@ -18,8 +18,7 @@ func testSystem(t *testing.T) *System {
 	if testing.Short() {
 		t.Skip("system integration tests in short mode")
 	}
-	// Exercise the back-compat Config path; options are tested separately.
-	sysOnce.Do(func() { sys = NewSystemFromConfig(DefaultConfig(BudgetCI)) })
+	sysOnce.Do(func() { sys = NewSystem(WithConfig(DefaultConfig(BudgetCI))) })
 	return sys
 }
 
