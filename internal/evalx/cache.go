@@ -33,35 +33,79 @@ import (
 //     Table 2 previously retrained byte-identical agents per figure.
 //
 // Logs and traces handed to a cached run must not be mutated afterwards;
-// keys are pointer identities. Every artifact is a deterministic function
-// of its key, so concurrent duplicate computation is harmless (last write
-// wins with an identical value). A nil *Cache is valid and disables
-// memoization, so all entry points take an optional cache.
+// keys are pointer identities. Every artifact is computed once: concurrent
+// callers of a key (Figure 3's cost fan-out shares the tick pipeline and
+// the forests) wait for the first computation instead of repeating it. A
+// nil *Cache is valid and disables memoization, so all entry points take
+// an optional cache.
 //
-// Wallclock training costs are part of the §4.3 accounting: each forest
-// and threshold artifact records the cost measured when it was first
-// computed, and cache hits charge that recorded cost, keeping rendered
-// figures consistent between cold and warm runs.
+// Training costs are part of the §4.3 accounting: each forest, threshold
+// and RL artifact records the cost measured when it was first computed,
+// and cache hits charge that recorded cost, keeping rendered figures
+// consistent between cold and warm runs.
 type Cache struct {
-	mu         sync.Mutex
-	ticks      map[*errlog.Log]*TickArtifacts
-	samplers   map[*jobs.Job]*jobs.Sampler
-	datasets   map[datasetKey]RFDataset
-	forests    map[forestKey]*forestArtifact
-	thresholds map[thresholdKey]*thresholdArtifact
-	rls        map[rlKey]*rlArtifact
+	ticks      memo[*errlog.Log, *TickArtifacts]
+	samplers   memo[*jobs.Job, *jobs.Sampler]
+	datasets   memo[datasetKey, RFDataset]
+	forests    memo[forestKey, forestArtifact]
+	thresholds memo[thresholdKey, thresholdArtifact]
+	rls        memo[rlKey, rlArtifact]
 }
 
 // NewCache returns an empty artifact cache.
-func NewCache() *Cache {
-	return &Cache{
-		ticks:      map[*errlog.Log]*TickArtifacts{},
-		samplers:   map[*jobs.Job]*jobs.Sampler{},
-		datasets:   map[datasetKey]RFDataset{},
-		forests:    map[forestKey]*forestArtifact{},
-		thresholds: map[thresholdKey]*thresholdArtifact{},
-		rls:        map[rlKey]*rlArtifact{},
+func NewCache() *Cache { return &Cache{} }
+
+// memo is a compute-once map. The first get of a key runs compute;
+// concurrent gets of the same key wait for that computation instead of
+// repeating it. A compute that panics leaves no entry: the panic is
+// re-raised to its caller and waiters retry, so the next get recomputes.
+// The zero value is ready to use.
+type memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	cells map[K]*memoCell[V]
+}
+
+type memoCell[V any] struct {
+	done chan struct{} // closed when the computation returned or panicked
+	val  V
+	ok   bool // compute returned (false after a panic)
+}
+
+func (m *memo[K, V]) get(key K, compute func() V) V {
+	for {
+		m.mu.Lock()
+		cell, found := m.cells[key]
+		if !found {
+			if m.cells == nil {
+				m.cells = map[K]*memoCell[V]{}
+			}
+			cell = &memoCell[V]{done: make(chan struct{})}
+			m.cells[key] = cell
+		}
+		m.mu.Unlock()
+		if !found {
+			return m.fill(key, cell, compute)
+		}
+		<-cell.done
+		if cell.ok {
+			return cell.val
+		}
 	}
+}
+
+// fill runs compute for the cell this goroutine inserted under key.
+func (m *memo[K, V]) fill(key K, cell *memoCell[V], compute func() V) V {
+	defer func() {
+		if !cell.ok {
+			m.mu.Lock()
+			delete(m.cells, key)
+			m.mu.Unlock()
+		}
+		close(cell.done)
+	}()
+	cell.val = compute()
+	cell.ok = true
+	return cell.val
 }
 
 // TickArtifacts is the memoized tick pipeline of one log.
@@ -177,11 +221,12 @@ type thresholdArtifact struct {
 }
 
 // rlKey identifies one split's trained RL policy: every input the training
-// trajectory depends on. Worker counts and parallelism knobs are absent by
-// design — training is bit-deterministic across them — and so are the test
-// window bounds, which training never sees. The warm-start chain is covered
-// by (parts, split): split k's warm input is split k-1's artifact, itself a
-// deterministic function of the same key family.
+// trajectory depends on. Worker counts and GOMAXPROCS are absent by design
+// — training is bit-deterministic across them — and so are the test window
+// bounds, which training never sees. The warm-start chain is covered by
+// (parts, split): split k's warm input is split k-1's artifact, itself a
+// deterministic function of the same key family, so an artifact computed
+// while split k-1 runs concurrently is the one the serial chain computed.
 type rlKey struct {
 	log      *errlog.Log
 	sampler  *jobs.Sampler
@@ -196,36 +241,23 @@ type rlKey struct {
 	kernel   int
 }
 
+// rlArtifact is one hyperparameter search's outcome: the winning
+// candidate's online net (callers clone before mutating; the warm-start
+// path only clones), its frozen greedy policy, and the §4.3 training cost.
 type rlArtifact struct {
 	net       *nn.Network
 	policy    rl.Policy
 	costHours float64
 }
 
-// rlPolicy returns the memoized trained policy for key, training via train
-// on first use. The returned network is the winning candidate's online net
-// (callers clone before mutating; the warm-start path only clones). Hits
-// replay the §4.3 wallclock recorded on the miss, so cold and warm runs
-// render identical training-cost rows.
-func (c *Cache) rlPolicy(key rlKey, train func() (rl.Policy, *nn.Network)) (rl.Policy, *nn.Network, float64) {
+// rlPolicy returns the memoized trained policy for key, running the search
+// via train on first use. Hits replay the §4.3 cost recorded on the miss,
+// so cold and warm runs render identical training-cost rows.
+func (c *Cache) rlPolicy(key rlKey, train func() rlArtifact) rlArtifact {
 	if c == nil {
-		start := time.Now() //uerl:nondet-ok §4.3 RL training cost is charged as measured wallclock; trained weights stay seed-deterministic
-		pol, net := train()
-		return pol, net, time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
+		return train()
 	}
-	c.mu.Lock()
-	art := c.rls[key]
-	c.mu.Unlock()
-	if art != nil {
-		return art.policy, art.net, art.costHours
-	}
-	start := time.Now() //uerl:nondet-ok §4.3 RL training cost is charged as measured wallclock; cached artifacts replay the first measurement so cached and cold runs render identically
-	pol, net := train()
-	cost := time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
-	c.mu.Lock()
-	c.rls[key] = &rlArtifact{net: net, policy: pol, costHours: cost}
-	c.mu.Unlock()
-	return pol, net, cost
+	return c.rls.get(key, train)
 }
 
 // buildTickArtifacts runs the uncached pipeline.
@@ -242,41 +274,22 @@ func buildTickArtifacts(log *errlog.Log) *TickArtifacts {
 // Ticks returns the memoized tick pipeline for log, computing it on first
 // use. A nil cache computes it fresh.
 func (c *Cache) Ticks(log *errlog.Log) *TickArtifacts {
+	build := func() *TickArtifacts { return buildTickArtifacts(log) }
 	if c == nil {
-		return buildTickArtifacts(log)
+		return build()
 	}
-	c.mu.Lock()
-	art := c.ticks[log]
-	c.mu.Unlock()
-	if art != nil {
-		return art
-	}
-	art = buildTickArtifacts(log)
-	c.mu.Lock()
-	c.ticks[log] = art
-	c.mu.Unlock()
-	return art
+	return c.ticks.get(log, build)
 }
 
 // Sampler returns the memoized node-weighted sampler for trace. Keying by
 // the trace's backing array identity keeps one sampler per generated
 // trace, which in turn lets threshold artifacts key on sampler identity.
 func (c *Cache) Sampler(trace []jobs.Job) *jobs.Sampler {
+	build := func() *jobs.Sampler { return jobs.NewSampler(trace) }
 	if c == nil || len(trace) == 0 {
-		return jobs.NewSampler(trace)
+		return build()
 	}
-	key := &trace[0]
-	c.mu.Lock()
-	s := c.samplers[key]
-	c.mu.Unlock()
-	if s != nil {
-		return s
-	}
-	s = jobs.NewSampler(trace)
-	c.mu.Lock()
-	c.samplers[key] = s
-	c.mu.Unlock()
-	return s
+	return c.samplers.get(&trace[0], build)
 }
 
 // dataset returns the memoized RF training set for ticks before trainTo.
@@ -287,73 +300,47 @@ func (c *Cache) dataset(log *errlog.Log, byNode [][]errlog.Tick, trainTo time.Ti
 	if c == nil {
 		return build()
 	}
-	key := datasetKey{log: log, trainTo: trainTo.UnixNano()}
-	c.mu.Lock()
-	ds, ok := c.datasets[key]
-	c.mu.Unlock()
-	if ok {
-		return ds
-	}
-	ds = build()
-	c.mu.Lock()
-	c.datasets[key] = ds
-	c.mu.Unlock()
-	return ds
+	return c.datasets.get(datasetKey{log: log, trainTo: trainTo.UnixNano()}, build)
 }
 
 // forest returns the memoized trained forest for (log, trainTo, cfg),
 // whether its training set had positives, and the §4.3 training cost to
 // charge. On first use it builds (or reuses) the dataset and trains via
 // train; the recorded cost is the wallclock of dataset construction plus
-// training, matching what the uncached path used to measure.
+// training.
 func (c *Cache) forest(log *errlog.Log, byNode [][]errlog.Tick, trainTo time.Time, cfg rf.ForestConfig, train func(RFDataset) (*rf.Forest, bool)) (*rf.Forest, bool, float64) {
+	build := func() forestArtifact {
+		start := time.Now() //uerl:nondet-ok §4.3 training cost is charged as measured wallclock; cached artifacts replay the first measurement so cached and cold runs render identically
+		f, trained := train(c.dataset(log, byNode, trainTo))
+		return forestArtifact{forest: f, trained: trained, costHours: time.Since(start).Hours()} //uerl:nondet-ok wallclock training-cost metadata, see above
+	}
+	var a forestArtifact
 	if c == nil {
-		start := time.Now() //uerl:nondet-ok §4.3 training cost is charged as measured wallclock; it annotates results and never feeds replay decisions
-		f, trained := train(BuildRFDataset(ticksUpTo(byNode, trainTo), time.Time{}, trainTo))
-		return f, trained, time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
+		a = build()
+	} else {
+		a = c.forests.get(forestKey{log: log, trainTo: trainTo.UnixNano(), cfg: cfg}, build)
 	}
-	key := forestKey{log: log, trainTo: trainTo.UnixNano(), cfg: cfg}
-	c.mu.Lock()
-	art := c.forests[key]
-	c.mu.Unlock()
-	if art != nil {
-		return art.forest, art.trained, art.costHours
-	}
-	start := time.Now() //uerl:nondet-ok §4.3 training cost is charged as measured wallclock; cached artifacts replay the first measurement so cached and cold runs render identically
-	f, trained := train(c.dataset(log, byNode, trainTo))
-	cost := time.Since(start).Hours() //uerl:nondet-ok wallclock training-cost metadata, see above
-	c.mu.Lock()
-	c.forests[key] = &forestArtifact{forest: f, trained: trained, costHours: cost}
-	c.mu.Unlock()
-	return f, trained, cost
+	return a.forest, a.trained, a.costHours
 }
 
 // threshold returns the memoized optimal threshold for the forest under
 // the given replay configuration, searching on first use.
 func (c *Cache) threshold(forest *rf.Forest, byNode [][]errlog.Tick, sampler *jobs.Sampler, cfg ReplayConfig) (float64, float64) {
-	search := func() (float64, float64) {
+	search := func() thresholdArtifact {
 		start := time.Now() //uerl:nondet-ok §4.3 threshold-search cost is charged as measured wallclock; the threshold itself is deterministic
 		thr, _ := OptimalThreshold(forest, nil, byNode, sampler, cfg)
-		return thr, time.Since(start).Hours() //uerl:nondet-ok wallclock search-cost metadata, see above
+		return thresholdArtifact{threshold: thr, costHours: time.Since(start).Hours()} //uerl:nondet-ok wallclock search-cost metadata, see above
 	}
+	var a thresholdArtifact
 	if c == nil {
-		return search()
+		a = search()
+	} else {
+		a = c.thresholds.get(thresholdKey{
+			forest: forest, sampler: sampler, env: cfg.Env,
+			jobSeed: cfg.JobSeed, from: cfg.From.UnixNano(), to: cfg.To.UnixNano(),
+		}, search)
 	}
-	key := thresholdKey{
-		forest: forest, sampler: sampler, env: cfg.Env,
-		jobSeed: cfg.JobSeed, from: cfg.From.UnixNano(), to: cfg.To.UnixNano(),
-	}
-	c.mu.Lock()
-	art := c.thresholds[key]
-	c.mu.Unlock()
-	if art != nil {
-		return art.threshold, art.costHours
-	}
-	thr, cost := search()
-	c.mu.Lock()
-	c.thresholds[key] = &thresholdArtifact{threshold: thr, costHours: cost}
-	c.mu.Unlock()
-	return thr, cost
+	return a.threshold, a.costHours
 }
 
 // ueTimeIndex collects every UE event time in the per-node sequences into

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,5 +144,104 @@ func TestOraclePointsIndexEquivalence(t *testing.T) {
 	// above is vacuous.
 	if len(art.OraclePoints(time.Time{}, time.Time{})) == 0 {
 		t.Fatal("fixture has no reachable UEs; oracle index untested")
+	}
+}
+
+// TestMemoComputesOnce: concurrent gets of one key run compute exactly
+// once, and every caller sees its value.
+func TestMemoComputesOnce(t *testing.T) {
+	var (
+		m     memo[int, *int]
+		calls atomic.Int32
+		wg    sync.WaitGroup
+	)
+	release := make(chan struct{})
+	const n = 32
+	got := make([]*int, n)
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = m.get(7, func() *int {
+				calls.Add(1)
+				<-release // hold the computation open while the others arrive
+				v := 42
+				return &v
+			})
+		}()
+	}
+	close(release)
+	wg.Wait()
+	if c := calls.Load(); c != 1 {
+		t.Fatalf("compute ran %d times, want 1", c)
+	}
+	for g, p := range got {
+		if p != got[0] || *p != 42 {
+			t.Fatalf("caller %d got %p (%v), want the shared value %p", g, p, p, got[0])
+		}
+	}
+	if v := m.get(7, func() *int { t.Fatal("recomputed a memoized key"); return nil }); v != got[0] {
+		t.Fatal("later get missed the memoized value")
+	}
+}
+
+// TestMemoPanicLeavesNoEntry: a panicking compute re-raises to its caller
+// and stores nothing, so the next get recomputes.
+func TestMemoPanicLeavesNoEntry(t *testing.T) {
+	var m memo[string, int]
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		m.get("k", func() int { panic("boom") })
+		t.Fatal("get returned instead of re-raising the panic")
+	}()
+	calls := 0
+	if v := m.get("k", func() int { calls++; return 5 }); v != 5 || calls != 1 {
+		t.Fatalf("get after a panic = %d with %d computes, want 5 with 1", v, calls)
+	}
+}
+
+// TestMemoPanicWaitersRecompute: callers waiting on a computation that
+// panics retry, so one of them recomputes the key instead of hanging or
+// reading a zero value.
+func TestMemoPanicWaitersRecompute(t *testing.T) {
+	var (
+		m     memo[int, int]
+		calls atomic.Int32
+		wg    sync.WaitGroup
+	)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		defer func() { _ = recover() }()
+		m.get(1, func() int {
+			calls.Add(1)
+			close(entered)
+			<-release
+			panic("first compute fails")
+		})
+	}()
+	<-entered
+	const n = 8
+	got := make([]int, n)
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = m.get(1, func() int { calls.Add(1); return 9 })
+		}()
+	}
+	close(release)
+	wg.Wait()
+	for g, v := range got {
+		if v != 9 {
+			t.Fatalf("waiter %d got %d, want 9", g, v)
+		}
+	}
+	if c := calls.Load(); c != 2 {
+		t.Fatalf("compute ran %d times, want 2 (the failed one and one retry)", c)
 	}
 }

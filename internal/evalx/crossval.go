@@ -238,6 +238,12 @@ func hasUEIn(ueTimes []time.Time, from, to time.Time) bool {
 // preceding the test part (75% train / 25% validation; the first split uses
 // the first two weeks), then every §4.2 policy is evaluated on the test
 // part. Totals accumulate across splits.
+//
+// The splits run concurrently and merge by index. Their only dependency is
+// the §4.1 warm start: split k's warm-started candidates wait on a future
+// that split k-1 settles as soon as its RL artifact resolves. parx.For
+// claims indices in increasing order, so the split being waited on is
+// always already running.
 func RunCV(log *errlog.Log, trace []jobs.Job, cfg CVConfig) CVResult {
 	if cfg.Parts < 2 {
 		panic(fmt.Sprintf("evalx: Parts must be at least 2, got %d", cfg.Parts))
@@ -248,10 +254,12 @@ func RunCV(log *errlog.Log, trace []jobs.Job, cfg CVConfig) CVResult {
 	start := bounds[0]
 	world := cvWorld{log: log, art: art, sampler: sampler}
 
-	var cv CVResult
-	var warmStart *nn.Network
-
-	for k := 0; k < cfg.Parts; k++ {
+	cv := CVResult{Splits: make([]SplitResult, cfg.Parts)}
+	warm := make([]*warmFuture, cfg.Parts)
+	for k := range warm {
+		warm[k] = newWarmFuture()
+	}
+	parx.For(cfg.Parts, 0, func(k int) {
 		testFrom, testTo := bounds[k], bounds[k+1]
 		var trainTo, valFrom time.Time
 		if k == 0 {
@@ -264,28 +272,63 @@ func RunCV(log *errlog.Log, trace []jobs.Job, cfg CVConfig) CVResult {
 			trainTo = bounds[k]
 			valFrom = start.Add(time.Duration(float64(span) * 0.75))
 		}
-
-		split := evaluateSplit(cfg, world, splitSpec{
+		var warmIn *warmFuture
+		if k > 0 {
+			warmIn = warm[k-1]
+		}
+		cv.Splits[k] = evaluateSplit(cfg, world, splitSpec{
 			index: k, start: start,
 			trainTo: trainTo, valFrom: valFrom,
 			testFrom: testFrom, testTo: testTo,
-		}, &warmStart)
-		cv.Splits = append(cv.Splits, split)
-	}
+		}, warmIn, warm[k])
+	})
 
 	// Aggregate totals by policy order of the first split.
-	if len(cv.Splits) > 0 {
-		cv.Totals = make([]Result, len(cv.Splits[0].Results))
-		for i := range cv.Totals {
-			cv.Totals[i].Policy = cv.Splits[0].Results[i].Policy
-		}
-		for _, s := range cv.Splits {
-			for i, r := range s.Results {
-				cv.Totals[i].Add(r)
-			}
+	cv.Totals = make([]Result, len(cv.Splits[0].Results))
+	for i := range cv.Totals {
+		cv.Totals[i].Policy = cv.Splits[0].Results[i].Policy
+	}
+	for _, s := range cv.Splits {
+		for i, r := range s.Results {
+			cv.Totals[i].Add(r)
 		}
 	}
 	return cv
+}
+
+// warmFuture carries one split's trained RL network to the next split,
+// which warm-starts alternate candidates from it (§4.1). It is settled
+// exactly once: with the network when the split's RL artifact resolves,
+// or with the split's panic value, which every waiter re-raises, so a
+// failed split can neither hang its successor nor let it train without
+// its warm input. A nil *warmFuture means no warm input.
+type warmFuture struct {
+	once     sync.Once
+	done     chan struct{}
+	net      *nn.Network
+	panicVal any
+}
+
+func newWarmFuture() *warmFuture { return &warmFuture{done: make(chan struct{})} }
+
+// settle resolves the future; only the first call has any effect.
+func (f *warmFuture) settle(net *nn.Network, panicVal any) {
+	f.once.Do(func() {
+		f.net, f.panicVal = net, panicVal
+		close(f.done)
+	})
+}
+
+// wait blocks until the future is settled and returns its network.
+func (f *warmFuture) wait() *nn.Network {
+	if f == nil {
+		return nil
+	}
+	<-f.done
+	if f.panicVal != nil {
+		panic(f.panicVal)
+	}
+	return f.net
 }
 
 // SingleSplit is a trained single-split world: models fitted on the first
@@ -357,11 +400,12 @@ func TrainSingleSplit(log *errlog.Log, trace []jobs.Job, cfg CVConfig, trainFrac
 			trainTo: spec.trainTo.UnixNano(), valFrom: spec.valFrom.UnixNano(),
 			kernel: cfg.kernel(),
 		}
-		out.Policy, out.Net, _ = cfg.Cache.rlPolicy(key, func() (rl.Policy, *nn.Network) {
+		rlArt := cfg.Cache.rlPolicy(key, func() rlArtifact {
 			trainTicks := ticksUpTo(byNode, trainTo)
 			useValidation := hasUEIn(art.UETimes, spec.valFrom, spec.trainTo)
 			return trainRL(cfg, trainTicks, sampler, spec, useValidation, nil)
 		})
+		out.Policy, out.Net = rlArt.policy, rlArt.net
 	}
 	return out
 }
@@ -384,8 +428,18 @@ type cvWorld struct {
 }
 
 // evaluateSplit trains the models for one split and evaluates all policies
-// on its test window.
-func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warm **nn.Network) SplitResult {
+// on its test window. warmIn is the previous split's RL network (nil for
+// the first split); warmOut is settled with this split's as soon as it
+// resolves, before the replay runs, or with the panic value if the split
+// fails first.
+func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warmIn, warmOut *warmFuture) SplitResult {
+	defer func() {
+		r := recover()
+		warmOut.settle(nil, r) // a no-op once the RL artifact settled it
+		if r != nil {
+			panic(r)
+		}
+	}()
 	byNode, sampler := world.art.ByNode, world.sampler
 	jobSeed := cfg.Seed + int64(spec.index)*101
 	replayCfg := ReplayConfig{Env: cfg.Env, JobSeed: jobSeed, From: spec.testFrom, To: spec.testTo}
@@ -433,16 +487,15 @@ func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warm **nn.Networ
 			trainTo: spec.trainTo.UnixNano(), valFrom: spec.valFrom.UnixNano(),
 			kernel: cfg.kernel(),
 		}
-		warmIn := *warm
-		var rlNet *nn.Network
-		rlPolicy, rlNet, rlCost = cfg.Cache.rlPolicy(key, func() (rl.Policy, *nn.Network) {
+		rlArt := cfg.Cache.rlPolicy(key, func() rlArtifact {
 			trainTicks := ticksUpTo(byNode, spec.trainTo)
 			useValidation := hasUEIn(world.art.UETimes, spec.valFrom, spec.trainTo)
 			return trainRL(cfg, trainTicks, sampler, spec, useValidation, warmIn)
 		})
+		rlPolicy, rlCost = rlArt.policy, rlArt.costHours
 		// On hits the warm chain advances to the cached winner, so a later
 		// cold split trains from exactly the net a fully cold run would see.
-		*warm = rlNet
+		warmOut.settle(rlArt.net, nil)
 	}
 
 	// --- Assemble deciders.
@@ -476,23 +529,63 @@ func evaluateSplit(cfg CVConfig, world cvWorld, spec splitSpec, warm **nn.Networ
 	return SplitResult{Split: spec.index, From: spec.testFrom, To: spec.testTo, Results: results}
 }
 
-// trainRL runs the per-split hyperparameter search and returns the frozen
-// policy and online network of the best candidate.
+// trainSlots bounds the RL candidates that train at once across every
+// concurrent search in the process — Figure 3's cost fan-out, RunCV's
+// split fan-out and the candidate fan-out below all nest — to
+// parx.Workers(0), read at each acquire.
+var trainSlots slotPool
+
+// slotPool is a counting semaphore whose capacity is parx.Workers(0).
+type slotPool struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	busy int
+}
+
+// acquire blocks until a slot is free and takes it.
+func (p *slotPool) acquire() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cond == nil {
+		p.cond = sync.NewCond(&p.mu)
+	}
+	for p.busy >= parx.Workers(0) {
+		p.cond.Wait()
+	}
+	p.busy++
+}
+
+// release returns a slot taken by acquire.
+func (p *slotPool) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.busy--
+	p.cond.Broadcast()
+}
+
+// trainRL runs the per-split hyperparameter search and returns the best
+// candidate's frozen policy and online network. Its §4.3 training cost is
+// the compute the search consumed: the sum of the candidates' in-slot
+// wallclock, so time spent queueing for a slot or for the warm input is
+// never billed. With a single candidate (PresetCI) that is the search's
+// training time.
 //
 // Candidates are independent given the incoming warm-start network (which is
-// only cloned), so they train and score across a GOMAXPROCS worker pool.
-// The winner is reduced deterministically — lowest validation cost, ties
-// broken by candidate index — which is exactly the serial loop's selection
-// rule, so the search returns the same model for any worker count.
+// only cloned), so they train and score concurrently, each holding a
+// trainSlots slot. Only the warm-started candidates wait on warm, and they
+// take their slot after the wait. The winner is reduced deterministically
+// — lowest validation cost, ties broken by candidate index — which is
+// exactly the serial loop's selection rule, so the search returns the same
+// model for any worker count.
 //
 // Under nn.KernelFast (the default, see CVConfig.Kernel) each candidate
 // trains vectorized: rl.TrainVec steps DefaultEnvFanout environments per
 // round (each with its own pre-seeded PCG stream) and the agent reduces
 // chunked minibatch gradients in chunk-index order. nn.KernelReference
 // reproduces the pre-versioned serial trajectories exactly.
-func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, spec splitSpec, useValidation bool, warmStart *nn.Network) (rl.Policy, *nn.Network) {
+func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, spec splitSpec, useValidation bool, warm *warmFuture) rlArtifact {
 	if len(trainTicks) == 0 {
-		return rl.PolicyFunc(func([]float64) int { return env.ActionNone }), nil
+		return rlArtifact{policy: rl.PolicyFunc(func([]float64) int { return env.ActionNone })}
 	}
 	kernel := cfg.kernel()
 	episodes := cfg.episodeBudget()
@@ -506,18 +599,30 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 
 	// Reduce to a running minimum as candidates finish instead of retaining
 	// every trained agent until the end: losers become garbage immediately,
-	// so peak memory is one agent per in-flight worker (GOMAXPROCS)
-	// rather than one per candidate (~60 agents of 10+ MB each at paper
-	// scale). The total order (cost, candidate index) reproduces the serial
-	// selection rule — lowest cost, ties to the earliest candidate — for
-	// any completion order.
+	// and agents are built inside their slot, so the process holds at most
+	// one training agent per slot (parx.Workers(0)) plus each search's
+	// running best, rather than one per candidate (~60 agents of 10+ MB
+	// each at paper scale). The total order (cost, candidate index)
+	// reproduces the serial selection rule — lowest cost, ties to the
+	// earliest candidate — for any completion order.
 	var (
 		bestMu   sync.Mutex
 		bestIdx  = -1
 		bestCost float64
 		bestAg   *rl.Agent
+		inSlot   time.Duration
 	)
 	parx.For(len(candidates), 0, func(ci int) {
+		// §4.1: subsequent splits train a mix of previously trained and
+		// untrained models. Warm-start alternate candidates (Clone only
+		// reads the shared warm network).
+		var warmStart *nn.Network
+		if ci%2 == 1 {
+			warmStart = warm.wait()
+		}
+		trainSlots.acquire()
+		defer trainSlots.release()
+		start := time.Now() //uerl:nondet-ok §4.3 RL training cost is charged as measured in-slot wallclock; trained weights stay seed-deterministic
 		ac := candidates[ci]
 		ac.Kernel = kernel
 		envCfg := cfg.Env
@@ -535,10 +640,7 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 			Capacity: 1 << 15, Alpha: 0.6, Beta: 0.4, BetaSteps: episodes * 20,
 			FastPow: kernel == nn.KernelFast,
 		}))
-		// §4.1: subsequent splits train a mix of previously trained and
-		// untrained models. Warm-start alternate candidates (Clone only
-		// reads the shared warm network).
-		if warmStart != nil && ci%2 == 1 {
+		if warmStart != nil {
 			agent.SetOnline(warmStart.Clone())
 		}
 		opts := rl.TrainOptions{Episodes: episodes, MaxStepsPerEpisode: 4096}
@@ -558,21 +660,23 @@ func trainRL(cfg CVConfig, trainTicks [][]errlog.Tick, sampler *jobs.Sampler, sp
 			rl.Train(agent, env.NewMitigationEnv(envCfg, trainTicks, sampler), opts)
 		}
 
-		// Score the candidate. Scoring replays serially: the candidates
-		// themselves already occupy the worker pool.
+		// Score the candidate. Scoring replays serially: the slot pool
+		// already keeps every core busy.
 		pol := &policies.RL{Policy: agent.SnapshotPolicy()}
 		scoreCfg := ReplayConfig{Env: cfg.Env, JobSeed: cfg.Seed + 999, From: valFrom, To: valTo, Parallelism: 1}
 		if !useValidation {
 			scoreCfg.From, scoreCfg.To = time.Time{}, spec.trainTo
 		}
 		cost := Replay(pol, trainTicks, sampler, scoreCfg).TotalCost()
+		held := time.Since(start) //uerl:nondet-ok wallclock training-cost metadata, see above
 
 		bestMu.Lock()
+		inSlot += held
 		if bestIdx < 0 || cost < bestCost || (cost == bestCost && ci < bestIdx) {
 			bestIdx, bestCost, bestAg = ci, cost, agent
 		}
 		bestMu.Unlock()
 	})
 
-	return bestAg.SnapshotPolicy(), bestAg.Online()
+	return rlArtifact{net: bestAg.Online(), policy: bestAg.SnapshotPolicy(), costHours: inSlot.Hours()}
 }

@@ -1,6 +1,11 @@
 package evalx
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/jobs"
@@ -152,4 +157,69 @@ func TestRunCVPanicsOnBadParts(t *testing.T) {
 	cfg := DefaultCVConfig(PresetCI)
 	cfg.Parts = 1
 	RunCV(telemetry.Generate(telemetry.Default().Scale(0.01)), jobs.Generate(jobs.Default()), cfg)
+}
+
+// cvSplitHash digests the deterministic part of every split's results:
+// each policy's UE cost, mitigation cost (as exact float bits) and
+// confusion counts. Training cost is wallclock, so it stays out.
+func cvSplitHash(cv CVResult) string {
+	h := sha256.New()
+	for _, s := range cv.Splits {
+		for _, r := range s.Results {
+			fmt.Fprintf(h, "%d %s %016x %016x %+v\n", s.Split, r.Policy,
+				math.Float64bits(r.UECost), math.Float64bits(r.MitigationCost), r.Metrics)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRunCVWarmChainPinned pins the concurrent split fan-out to the serial
+// warm-start chain. PresetDefault's candidate 1 warm-starts from the
+// previous split's winner, so splits 1 and 2 wait on their predecessor's
+// future; the digest was computed with the splits run one after another
+// and must hold at every GOMAXPROCS. Dropping the warm input changes it.
+func TestRunCVWarmChainPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RL training integration test in short mode")
+	}
+	const want = "31a626da5d24cbee3bce65cfbb02dc0702f56a84211387a7b59c0ceb643b2635"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	log := telemetry.Generate(telemetry.Default().Scale(0.02))
+	jcfg := jobs.Default()
+	jcfg.Count = 1000
+	trace := jobs.Generate(jcfg)
+	cfg := DefaultCVConfig(PresetDefault)
+	cfg.Parts = 3
+	cfg.RLEpisodes = 30
+
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := cvSplitHash(RunCV(log, trace, cfg)); got != want {
+			t.Errorf("GOMAXPROCS=%d: split digest %s, want %s", procs, got, want)
+		}
+	}
+}
+
+// TestWarmFutureSettlesOnce: the first settle wins, a nil future is "no
+// warm input", and a failed split's panic value reaches every waiter.
+func TestWarmFutureSettlesOnce(t *testing.T) {
+	var none *warmFuture
+	if none.wait() != nil {
+		t.Fatal("nil future returned a network")
+	}
+	f := newWarmFuture()
+	f.settle(nil, "split failed")
+	f.settle(nil, nil) // the deferred settle after a resolved one is a no-op
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "split failed" {
+					t.Fatalf("waiter %d recovered %v, want the split's panic", i, r)
+				}
+			}()
+			f.wait()
+			t.Fatal("wait returned from a failed future")
+		}()
+	}
 }

@@ -2,6 +2,7 @@ package evalx
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/mathx"
 	"repro/internal/nn"
+	"repro/internal/parx"
 	"repro/internal/policies"
 	"repro/internal/rl"
 	"repro/internal/telemetry"
@@ -165,5 +167,44 @@ func TestReplayUnsafeDeciderFallsBackToSerial(t *testing.T) {
 	want := Replay(policies.NewCEThreshold(10), byNode, sampler, cfg)
 	if got != want {
 		t.Fatalf("stateful decider replay diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestTrainSlotsBoundNestedFanOut: however the fan-outs nest (figures over
+// costs over splits over candidates), at most parx.Workers(0) bodies hold
+// a training slot at once, and every body runs.
+func TestTrainSlotsBoundNestedFanOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		var (
+			pool           slotPool
+			inFlight, peak atomic.Int32
+			ran            atomic.Int32
+		)
+		parx.For(3, 8, func(int) {
+			parx.For(3, 8, func(int) {
+				parx.For(4, 8, func(int) {
+					pool.acquire()
+					defer pool.release()
+					n := inFlight.Add(1)
+					for {
+						p := peak.Load()
+						if n <= p || peak.CompareAndSwap(p, n) {
+							break
+						}
+					}
+					time.Sleep(time.Millisecond)
+					inFlight.Add(-1)
+					ran.Add(1)
+				})
+			})
+		})
+		if got := ran.Load(); got != 36 {
+			t.Fatalf("GOMAXPROCS=%d: %d bodies ran, want 36", procs, got)
+		}
+		if p := peak.Load(); int(p) > parx.Workers(0) {
+			t.Fatalf("GOMAXPROCS=%d: %d bodies held a slot at once, limit %d", procs, p, parx.Workers(0))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,37 @@ func TestRunFig3Shape(t *testing.T) {
 	r.Render(&sb)
 	if !strings.Contains(sb.String(), "Oracle") {
 		t.Fatal("render missing Oracle row")
+	}
+}
+
+// TestRunFig3DeterministicAcrossGOMAXPROCS: the cost and split fan-outs
+// must not change any result. Each policy's per-split UE cost, mitigation
+// cost and confusion counts are equal for cold regenerations at
+// GOMAXPROCS 1 and 4 (training cost is wallclock, so it is left out).
+func TestRunFig3DeterministicAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Figure 3 regeneration in short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	w := BuildWorld(Scale{TelemetryScale: 0.02, MinUEs: 12, JobCount: 1200, Parts: 3, Preset: evalx.PresetCI, Seed: 1})
+	runtime.GOMAXPROCS(1)
+	a := RunFig3(w)
+	w.ResetCache()
+	runtime.GOMAXPROCS(4)
+	b := RunFig3(w)
+	for i := range a.Runs {
+		for k := range a.Runs[i].Splits {
+			ra, rb := a.Runs[i].Splits[k].Results, b.Runs[i].Splits[k].Results
+			if len(ra) != len(rb) {
+				t.Fatalf("@%gnm split %d: %d vs %d policies", a.MitigationCosts[i], k, len(ra), len(rb))
+			}
+			for j := range ra {
+				if ra[j].Policy != rb[j].Policy || ra[j].UECost != rb[j].UECost ||
+					ra[j].MitigationCost != rb[j].MitigationCost || ra[j].Metrics != rb[j].Metrics {
+					t.Errorf("@%gnm split %d: GOMAXPROCS=1 %+v, GOMAXPROCS=4 %+v", a.MitigationCosts[i], k, ra[j], rb[j])
+				}
+			}
+		}
 	}
 }
 

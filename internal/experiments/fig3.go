@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/evalx"
+	"repro/internal/parx"
 )
 
 // Fig3Result reproduces Figure 3: total cost (UE + mitigation) for every
@@ -17,13 +18,16 @@ type Fig3Result struct {
 	Runs []evalx.CVResult
 }
 
-// RunFig3 regenerates Figure 3.
+// RunFig3 regenerates Figure 3. The cost points are independent — they
+// share only the world cache, whose tick pipeline and forests are computed
+// once for all of them — so they fan out across workers and merge by cost
+// index, which keeps the figure deterministic for any worker count.
 func RunFig3(w *World) Fig3Result {
 	res := Fig3Result{MitigationCosts: []float64{2, 5, 10}}
-	for _, mc := range res.MitigationCosts {
-		cv := evalx.RunCV(w.Log, w.Trace, w.cvConfig(mc))
-		res.Runs = append(res.Runs, cv)
-	}
+	res.Runs = make([]evalx.CVResult, len(res.MitigationCosts))
+	parx.For(len(res.MitigationCosts), 0, func(i int) {
+		res.Runs[i] = evalx.RunCV(w.Log, w.Trace, w.cvConfig(res.MitigationCosts[i]))
+	})
 	return res
 }
 

@@ -18,29 +18,29 @@ type Fig5Result struct {
 	Runs   []evalx.CVResult // parallel to Labels; MN/ABC holds summed totals
 }
 
-// RunFig5 regenerates Figure 5. The per-manufacturer runs are independent
-// — separate logs, separate artifact caches — so they fan out across
-// workers and merge by manufacturer index, which keeps the figure
-// deterministic for any worker count.
+// RunFig5 regenerates Figure 5. The four runs — MN/All and the three
+// manufacturer partitions — are independent: separate logs, separate
+// artifact caches. They fan out across workers in one parx.For and merge by
+// index, which keeps the figure deterministic for any worker count; the
+// RL training slots bound the nested training.
 func RunFig5(w *World) Fig5Result {
-	res := Fig5Result{}
 	cfg := w.cvConfig(2)
-
-	all := evalx.RunCV(w.Log, w.Trace, cfg)
-	res.Labels = append(res.Labels, "MN/All")
-	res.Runs = append(res.Runs, all)
-
-	runs := make([]evalx.CVResult, errlog.NumManufacturers)
-	parx.For(int(errlog.NumManufacturers), 0, func(i int) {
-		m := errlog.Manufacturer(i)
+	runs := make([]evalx.CVResult, 1+int(errlog.NumManufacturers))
+	parx.For(len(runs), 0, func(i int) {
+		if i == 0 {
+			runs[0] = evalx.RunCV(w.Log, w.Trace, cfg)
+			return
+		}
+		m := errlog.Manufacturer(i - 1)
 		pcfg := cfg
 		pcfg.Cache = w.PartitionCache(m)
 		runs[i] = evalx.RunCV(w.Partition(m), w.Trace, pcfg)
 	})
+	res := Fig5Result{Labels: []string{"MN/All"}, Runs: []evalx.CVResult{runs[0]}}
 
 	var abc evalx.CVResult
 	for m := errlog.Manufacturer(0); m < errlog.NumManufacturers; m++ {
-		cv := runs[m]
+		cv := runs[1+int(m)]
 		res.Labels = append(res.Labels, "MN/"+m.String())
 		res.Runs = append(res.Runs, cv)
 		if len(abc.Totals) == 0 {

@@ -27,6 +27,12 @@ func Workers(n int) int {
 // fn must confine its writes to per-index state (e.g. out[i]) — For adds no
 // synchronization around shared state beyond the final join.
 //
+// Indices are claimed in increasing order: no index starts before every
+// smaller index has been handed to a worker. So fn(i) may block until
+// fn(j) for some j < i has made progress (evalx's warm-start chain waits on
+// the previous split) without deadlocking at any worker count — the
+// index it waits on is already running.
+//
 // A panic in fn aborts remaining work and is re-raised on the caller's
 // goroutine (the original stack trace is lost but the value is preserved),
 // so panic semantics match the serial path for every worker count.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -54,5 +55,33 @@ func TestWorkers(t *testing.T) {
 	}
 	if Workers(0) != runtime.GOMAXPROCS(0) || Workers(-1) != runtime.GOMAXPROCS(0) {
 		t.Fatal("default worker count is not GOMAXPROCS")
+	}
+}
+
+// TestForClaimsInIncreasingOrder pins the claim order For documents:
+// fn(i) blocks until fn(i-1) has finished, which only terminates if no
+// worker can claim i while i-1 is still unclaimed.
+func TestForClaimsInIncreasingOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 64} {
+		const n = 200
+		finished := make([]chan struct{}, n)
+		for i := range finished {
+			finished[i] = make(chan struct{})
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			For(n, workers, func(i int) {
+				if i > 0 {
+					<-finished[i-1]
+				}
+				close(finished[i])
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: chained For did not complete", workers)
+		}
 	}
 }
