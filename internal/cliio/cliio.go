@@ -1,7 +1,7 @@
 // Package cliio provides shared output helpers for the uerl* commands:
-// one JSON encoder with a stable, machine-readable shape, so every CLI's
-// -json mode (uerleval, uerlexp, uerlserve) emits results scripts can
-// consume the same way.
+// one JSON encoder with a stable, machine-readable shape, so the -json
+// modes of uerleval and uerlexp emit results scripts can consume the same
+// way. (uerlserve -json prints scenario.EncodeSummary's golden bytes.)
 package cliio
 
 import (

@@ -50,7 +50,7 @@ func TestAdversarialBurstGracefulDegradation(t *testing.T) {
 	var calls, probeVetoes atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	c.Probe = func(ctl *uerl.Controller) func() {
+	c.Probe = func(s uerl.Serving) func() {
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
 			go func(node int) {
@@ -58,7 +58,7 @@ func TestAdversarialBurstGracefulDegradation(t *testing.T) {
 				// Probe before checking stop so every worker lands at
 				// least one call even if the stream drains first.
 				for {
-					d := ctl.Recommend(node, c.End, 100)
+					d := s.Recommend(node, c.End, 100)
 					if d.Vetoed {
 						probeVetoes.Add(1)
 						if d.Action != uerl.ActionNone {

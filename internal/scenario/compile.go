@@ -64,6 +64,10 @@ type Compiled struct {
 	// section); the runner applies each fault to the fleet transport
 	// just before the first event at or after its time.
 	WorkerFaults []WorkerFault
+	// Initial is the policy serving at event zero, resolved from
+	// lifecycle.initial_policy. Callers may replace it before running
+	// (uerlserve -model serves a saved artifact this way).
+	Initial uerl.Policy
 	// Cost is the workload model: the potential/realized UE cost at any
 	// instant, following the spec's cost phases.
 	Cost uerl.CostFunc
@@ -71,12 +75,14 @@ type Compiled struct {
 	// with defaults applied.
 	MitigationCostNodeMinutes float64
 	Restartable               bool
-	// Probe, when set, is invoked with the live controller after the
-	// stack is built and before the stream is fed; the returned stop
-	// function (if any) runs once the run finishes. Tests attach
-	// concurrent serving probers here — the runner itself never calls
+	// Probe, when set, is invoked with the live serving layer (the
+	// Controller, or the fleet coordinator under a Serving section) after
+	// the stack is built and before the stream is fed; the returned stop
+	// function (if any) runs once the run finishes, after the fleet has
+	// settled. Tests attach concurrent serving probers here and uerlserve
+	// reads the final policy for -save — the runner itself never calls
 	// Recommend through it, so a probe cannot perturb the summary.
-	Probe func(ctl *uerl.Controller) (stop func())
+	Probe func(s uerl.Serving) (stop func())
 }
 
 // Compile validates the spec and lowers it to a Compiled stream. The
@@ -92,8 +98,12 @@ func Compile(spec Spec) (*Compiled, error) {
 		Spec:                      spec,
 		Start:                     start,
 		End:                       start.Add(day(spec.DurationDays)),
+		Initial:                   uerl.AlwaysPolicy(),
 		MitigationCostNodeMinutes: spec.Workload.MitigationCostNodeMinutes,
 		Restartable:               true,
+	}
+	if spec.Lifecycle.InitialPolicy == "never" {
+		c.Initial = uerl.NeverPolicy()
 	}
 	if c.MitigationCostNodeMinutes == 0 {
 		c.MitigationCostNodeMinutes = 2
@@ -169,8 +179,8 @@ func baseConfig(spec Spec) telemetry.Config {
 	cfg.Seed = spec.Seed
 	cfg.Duration = day(spec.DurationDays)
 	// The full-scale defaults are calibrated for a two-year log; scenario
-	// runs last days, so the per-DIMM rates are livened the same way the
-	// serving demo always has.
+	// runs last days, so the per-DIMM CE rate and faulty fraction are
+	// livened up.
 	cfg.CEEntriesPerDay *= 4
 	cfg.FaultyDIMMFraction *= 2
 	if spec.Fleet.DIMMsPerNode > 0 {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -79,6 +80,27 @@ func TestBurstInjection(t *testing.T) {
 			if !c.InAttack(e.Time) {
 				t.Fatalf("injected UE at %v outside every attack window", e.Time)
 			}
+		}
+	}
+}
+
+// A node count large enough that FirstNode+Nodes overflows must still
+// clamp to the fleet: the spec validates, so every injected UE has to
+// land on a real node.
+func TestBurstNodeRangeClampsWithoutOverflow(t *testing.T) {
+	s := validSpec()
+	s.Fleet.Nodes = 8
+	s.Faults = []FaultSpec{{Kind: FaultBurst, StartDay: 5, FirstNode: 1, Nodes: math.MaxInt, UEs: 20}}
+	c, err := Compile(s)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if c.InjectedUEs != 20 {
+		t.Fatalf("injected %d UEs, want 20", c.InjectedUEs)
+	}
+	for _, e := range c.Events {
+		if e.Type == uerl.UncorrectedError && e.DIMM == -1 && (e.Node < 1 || e.Node >= 8) {
+			t.Fatalf("injected UE on node %d outside the clamped range [1,8)", e.Node)
 		}
 	}
 }

@@ -153,10 +153,7 @@ func Run(spec Spec) (Summary, error) {
 // RunCompiled executes an already-compiled scenario.
 func RunCompiled(c *Compiled) (sum Summary, err error) {
 	spec := c.Spec
-	initial, err := initialPolicy(spec.Lifecycle.InitialPolicy)
-	if err != nil {
-		return Summary{}, err
-	}
+	initial := c.Initial
 
 	// The contract says serving never panics; a panic anywhere in the
 	// stack is a scenario failure, not a crash of the harness.
@@ -175,7 +172,7 @@ func RunCompiled(c *Compiled) (sum Summary, err error) {
 		tr      *fleet.ChanTransport
 	)
 	if spec.Serving != nil {
-		coord, tr, err = buildFleet(spec, initial, c)
+		coord, tr, err = buildFleet(c)
 		if err != nil {
 			return Summary{}, err
 		}
@@ -240,8 +237,8 @@ func RunCompiled(c *Compiled) (sum Summary, err error) {
 	)
 	learner := uerl.NewServingLearner(serving, opts...)
 
-	if c.Probe != nil && ctl != nil {
-		if stop := c.Probe(ctl); stop != nil {
+	if c.Probe != nil {
+		if stop := c.Probe(serving); stop != nil {
 			defer stop()
 		}
 	}
@@ -362,12 +359,12 @@ func fleetSummary(coord *fleet.Coordinator, workers int, degraded uint64, maxSta
 // nodes each worker owns — a failover hands a node to a guard with no
 // memory of the previous owner's spend, so the budget is an owner-local
 // safety net, not a global ledger.
-func buildFleet(spec Spec, initial uerl.Policy, c *Compiled) (*fleet.Coordinator, *fleet.ChanTransport, error) {
-	sv := spec.Serving
+func buildFleet(c *Compiled) (*fleet.Coordinator, *fleet.ChanTransport, error) {
+	spec, sv := c.Spec, c.Spec.Serving
 	cfg := fleet.Config{
 		Workers:          sv.Workers,
 		Seed:             spec.Seed,
-		Initial:          initial,
+		Initial:          c.Initial,
 		JournalCapacity:  sv.JournalCapacity,
 		DedupWindow:      time.Duration(sv.DedupWindowSeconds * float64(time.Second)),
 		FailureThreshold: sv.FailureThreshold,
@@ -381,7 +378,7 @@ func buildFleet(spec Spec, initial uerl.Policy, c *Compiled) (*fleet.Coordinator
 			uerl.WithGuardRestartable(c.Restartable),
 		}
 		cfg.NewWorker = func(id int) *fleet.Worker {
-			return fleet.NewWorker(id, initial, fleet.WithWorkerGuard(guardOpts...))
+			return fleet.NewWorker(id, c.Initial, fleet.WithWorkerGuard(guardOpts...))
 		}
 	}
 	return fleet.NewInProcess(cfg)
@@ -409,17 +406,6 @@ func EncodeSummary(s Summary) ([]byte, error) {
 		return nil, fmt.Errorf("scenario: encoding summary: %w", err)
 	}
 	return append(data, '\n'), nil
-}
-
-// initialPolicy resolves the spec's starting policy.
-func initialPolicy(kind string) (uerl.Policy, error) {
-	switch kind {
-	case "", "always":
-		return uerl.AlwaysPolicy(), nil
-	case "never":
-		return uerl.NeverPolicy(), nil
-	}
-	return nil, fmt.Errorf("scenario: unknown initial policy %q", kind)
 }
 
 // learnerOptions lowers the lifecycle spec to learner options, building

@@ -709,15 +709,18 @@ func nodeRangesOverlap(a, b FaultSpec, fleet int) bool {
 	return aLo < bHi && bLo < aHi
 }
 
+// nodeRange resolves a fault's node range, clamped to the fleet. The
+// clamp compares Nodes against the room left after FirstNode (which
+// Validate bounds to [0, fleet)) rather than summing them: FirstNode+Nodes
+// can overflow and wrap negative.
 func nodeRange(f FaultSpec, fleet int) (lo, hi int) {
 	if f.Nodes <= 0 {
 		return 0, fleet
 	}
-	hi = f.FirstNode + f.Nodes
-	if hi > fleet {
-		hi = fleet
+	if f.Nodes > fleet-f.FirstNode {
+		return f.FirstNode, fleet
 	}
-	return f.FirstNode, hi
+	return f.FirstNode, f.FirstNode + f.Nodes
 }
 
 // day converts a day offset to a duration.

@@ -211,7 +211,7 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 			Agent: rl.AgentConfig{
 				StateLen:     FeatureDim,
 				NumActions:   2,
-				Hidden:       cfg.hidden,
+				Hidden:       []int{32, 16},
 				Dueling:      true,
 				DoubleDQN:    true,
 				Gamma:        0.99,
@@ -220,7 +220,7 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 				GradClip:     10,
 				HuberDelta:   1,
 				Seed:         cfg.seed,
-				Kernel:       cfg.kernel,
+				Kernel:       nn.KernelReference,
 			},
 			StreamCapacity: cfg.streamCapacity,
 			StepsPerEpoch:  cfg.epochSteps,
@@ -411,11 +411,7 @@ func (l *OnlineLearner) retrain(at time.Time) {
 		fail("replay below one batch; waiting for more experience")
 		return
 	}
-	kernel := l.cfg.kernel
-	if kernel == 0 {
-		kernel = nn.KernelReference
-	}
-	cand, err := newRLPolicy(l.trainer.Network().Clone(), &TrainingInfo{Seed: l.cfg.seed, KernelVersion: kernel})
+	cand, err := newRLPolicy(l.trainer.Network().Clone(), &TrainingInfo{Seed: l.cfg.seed, KernelVersion: nn.KernelReference})
 	if err != nil {
 		fail(err.Error())
 		return

@@ -128,7 +128,7 @@ func ModelParent(p Policy) string {
 func SetModelParent(p Policy, parentVersion string) error {
 	if parentVersion != "" && parentVersion == p.Version() {
 		// A self-parent would make the lineage chain a cycle, and every
-		// chain walker (rollback, uerlserve's lineage report) loop.
+		// chain walker (guard rollback, the scenario summary's lineage) loop.
 		return fmt.Errorf("uerl: model %s cannot be its own lineage parent", parentVersion)
 	}
 	switch q := p.(type) {

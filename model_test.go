@@ -211,7 +211,7 @@ func TestModelLineageRoundTrip(t *testing.T) {
 }
 
 // A model naming itself as its lineage parent is a one-link cycle: every
-// chain walker (guard rollback, uerlserve's lineage report) would loop.
+// chain walker (guard rollback, the scenario summary's lineage) would loop.
 func TestModelRejectsSelfParent(t *testing.T) {
 	p := testRLPolicy(t)
 	if err := SetModelParent(p, p.Version()); err == nil {

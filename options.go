@@ -109,8 +109,6 @@ type learnerConfig struct {
 	minExperience  int
 	epochSteps     int
 	streamCapacity int
-	hidden         []int
-	kernel         int
 
 	shadowMinDecisions int
 	shadowMinUEs       int
@@ -199,28 +197,6 @@ func WithShadowGate(minDecisions, minUEs int) LearnerOption {
 	}
 }
 
-// WithLearnerNetwork sets the continually trained Q-network's hidden
-// layers (default 32-16; the serving input/output layout is fixed by the
-// feature schema and the two-action decision).
-func WithLearnerNetwork(hidden ...int) LearnerOption {
-	return func(c *learnerConfig) {
-		if len(hidden) > 0 {
-			c.hidden = hidden
-		}
-	}
-}
-
-// WithLearnerKernel pins the nn kernel/stream version the continual
-// trainer runs under (nn.KernelReference or nn.KernelFast). The default
-// (zero) keeps the reference stream, reproducing the training
-// trajectories of earlier builds bit-exactly; nn.KernelFast enables the
-// FMA kernels and chunked minibatch gradients reduced in chunk-index
-// order, which are deterministic but round differently. Serving inference
-// always uses the reference stream regardless of this setting.
-func WithLearnerKernel(kernel int) LearnerOption {
-	return func(c *learnerConfig) { c.kernel = kernel }
-}
-
 // WithGuard attaches a Guard to the learner: the learner routes every
 // served decision and realized UE through it for budget accounting and
 // probation scoring, submits every shadow-winning candidate to its
@@ -272,7 +248,6 @@ func defaultLearnerConfig() learnerConfig {
 		minExperience:             512,
 		epochSteps:                64,
 		streamCapacity:            1 << 14,
-		hidden:                    []int{32, 16},
 		shadowMinDecisions:        256,
 		shadowMinUEs:              1,
 	}

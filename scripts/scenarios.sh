@@ -10,7 +10,9 @@
 #   scripts/scenarios.sh update   regenerate the goldens (and canonicalize
 #                                 the spec files) after an intentional
 #                                 behaviour change, then verify the
-#                                 regenerated goldens replay clean
+#                                 regenerated goldens replay clean,
+#                                 through the harness and through
+#                                 uerlserve
 #
 # The goldens are byte-exact: a diff means either nondeterminism in the
 # compile→serve→score pipeline (a bug — fix it) or an intentional change
@@ -27,6 +29,9 @@ fi
 
 echo "== scenario goldens + determinism + adversarial e2e (race, uncached) =="
 go test -race -count=1 -run 'TestScenario|TestAdversarial|TestRowhammer' ./internal/scenario
+
+echo "== uerlserve replays every golden (race, uncached) =="
+go test -race -count=1 ./cmd/uerlserve
 
 echo "== scenario goldens at GOMAXPROCS=2 =="
 GOMAXPROCS=2 go test -race -count=1 -run 'TestScenarioGoldens|TestScenarioDeterminism' ./internal/scenario

@@ -140,9 +140,9 @@ func DefaultConfig(b Budget) Config {
 	}
 }
 
-// System is a generated world plus its evaluation configuration. Its
-// training entry points (TrainPolicy, TrainAgent) share one cached fit,
-// and the replay context backing EvaluatePolicy is computed once; both are
+// System is a generated world plus its evaluation configuration.
+// TrainPolicy fits each trained kind on one cached training split, and
+// the replay context backing EvaluatePolicy is computed once; both are
 // concurrency-safe.
 type System struct {
 	cfg   Config
