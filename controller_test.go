@@ -150,17 +150,9 @@ func TestWithShardsRounding(t *testing.T) {
 		{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {8, 8}, {9, 16}, {1 << 20, maxShards},
 	} {
 		ctl := NewController(AlwaysPolicy(), WithShards(tc.in))
-		if got := ctl.ShardCount(); got != tc.want {
+		if got := len(ctl.shards); got != tc.want {
 			t.Fatalf("WithShards(%d) -> %d shards, want %d", tc.in, got, tc.want)
 		}
-	}
-}
-
-func TestWithNowFunc(t *testing.T) {
-	at := time.Date(2030, 1, 2, 3, 4, 5, 0, time.UTC)
-	ctl := NewController(AlwaysPolicy(), WithNowFunc(func() time.Time { return at }))
-	if d := ctl.RecommendNow(1, 2); !d.Time.Equal(at) {
-		t.Fatalf("RecommendNow used %v, want %v", d.Time, at)
 	}
 }
 

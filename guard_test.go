@@ -141,7 +141,7 @@ func TestGuardNodeBudgetVetoAndRecovery(t *testing.T) {
 	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 
 	stream := ceStream(1, [2]int{10, 1})
-	l.ProcessBatch(stream)
+	processAll(l, stream)
 
 	st := g.Stats()
 	if st.SuppressedMitigations != 7 {
@@ -192,7 +192,7 @@ func TestGuardFleetBudgetVeto(t *testing.T) {
 	l := NewOnlineLearner(ctl, WithGuard(g), WithDriftDetection(1e9, 128))
 
 	stream := ceStream(4, [2]int{8, 1})
-	l.ProcessBatch(stream)
+	processAll(l, stream)
 	st := g.Stats()
 	if st.SuppressedMitigations != 6 || st.BudgetTrips != 1 {
 		t.Fatalf("fleet budget: suppressed=%d trips=%d, want 6/1", st.SuppressedMitigations, st.BudgetTrips)
@@ -244,7 +244,7 @@ func TestGuardPromotionBudgetFreezes(t *testing.T) {
 	// Two distribution steps: each triggers drift → retrain → an injected
 	// never-mitigate candidate that wins the weakened shadow gate on the
 	// UE-free window. The budget admits only the first promotion.
-	l.ProcessBatch(ceStream(8, [2]int{600, 1}, [2]int{500, 40}, [2]int{500, 120}))
+	processAll(l, ceStream(8, [2]int{600, 1}, [2]int{500, 40}, [2]int{500, 120}))
 
 	st := l.Stats()
 	if st.Generation != 1 {
@@ -290,7 +290,7 @@ func TestGuardApprovalDenyBlocks(t *testing.T) {
 	l, g := newGuardedLearner(t, []GuardOption{WithApprovalHook(DenyPromotions("change freeze CHG-42"))})
 	ctl := l.Controller()
 	before := ctl.Policy().Version()
-	l.ProcessBatch(ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
+	processAll(l, ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
 
 	if st := l.Stats(); st.Generation != 0 {
 		t.Fatalf("denied promotion still executed: %+v", st)
@@ -347,7 +347,7 @@ func TestGuardRollbackOnRegression(t *testing.T) {
 		}(w)
 	}
 
-	l.ProcessBatch(stream)
+	processAll(l, stream)
 
 	// The regressive candidate is serving and on probation.
 	promoted := ctl.Policy()
@@ -362,7 +362,7 @@ func TestGuardRollbackOnRegression(t *testing.T) {
 	}
 
 	// The adversarial burst: UEs the incumbent would have caught.
-	l.ProcessBatch(burst)
+	processAll(l, burst)
 	close(stop)
 	wg.Wait()
 
@@ -411,8 +411,8 @@ func TestGuardLifecycleDeterministic(t *testing.T) {
 	run := func() ([]LifecycleEvent, LearnerStats) {
 		l, _ := newGuardedLearner(t, []GuardOption{WithProbation(1<<20, 5)}, WithRetraining(700, 32))
 		stream := ceStream(8, [2]int{600, 1}, [2]int{800, 40})
-		l.ProcessBatch(stream)
-		l.ProcessBatch(ueBurst(8, stream[len(stream)-1].Time.Add(5*time.Minute), 8))
+		processAll(l, stream)
+		processAll(l, ueBurst(8, stream[len(stream)-1].Time.Add(5*time.Minute), 8))
 		return l.Events(), l.Stats()
 	}
 	ev1, st1 := run()
@@ -460,7 +460,7 @@ func TestApprovalCallbackDefaults(t *testing.T) {
 // the returned slice must not corrupt the log.
 func TestAuditLogAccessorsDefensiveCopies(t *testing.T) {
 	l, g := newGuardedLearner(t, []GuardOption{WithApprovalHook(DenyPromotions("freeze"))})
-	l.ProcessBatch(ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
+	processAll(l, ceStream(8, [2]int{600, 1}, [2]int{800, 40}))
 
 	evs := l.Events()
 	if len(evs) == 0 {
@@ -519,8 +519,8 @@ func TestGuardAccessorsConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	l.ProcessBatch(stream)
-	l.ProcessBatch(ueBurst(8, stream[len(stream)-1].Time.Add(5*time.Minute), 8))
+	processAll(l, stream)
+	processAll(l, ueBurst(8, stream[len(stream)-1].Time.Add(5*time.Minute), 8))
 	close(stop)
 	wg.Wait()
 }

@@ -4,7 +4,8 @@
 // bits for any worker count. The analyzer flags the constructs that
 // silently break that promise:
 //
-//   - wall-clock reads (time.Now/Since/Until) — inject a clock instead;
+//   - wall-clock reads (time.Now/Since/Until) — take the time from the
+//     input (telemetry time) instead;
 //   - the global math/rand generator (rand.Intn, rand.Float64, ... and
 //     Seed/Read) — use a seeded mathx.RNG; explicit-source constructors
 //     (rand.New, rand.NewSource, ...) stay legal;
@@ -79,7 +80,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	switch {
 	case pkg == "time" && (name == "Now" || name == "Since" || name == "Until"):
 		pass.ReportWaivable(call.Pos(), waiver,
-			"time.%s reads the wall clock in a deterministic package; inject a clock (cf. uerl.WithNowFunc) or waive with //uerl:nondet-ok <reason>", name)
+			"time.%s reads the wall clock in a deterministic package; take the time from the input (the telemetry event's timestamp) or waive with //uerl:nondet-ok <reason>", name)
 	case (pkg == "math/rand" || pkg == "math/rand/v2") && !randConstructors[name]:
 		pass.ReportWaivable(call.Pos(), waiver,
 			"rand.%s draws from the global math/rand generator; use a seeded mathx.RNG so streams are reproducible and forkable", name)

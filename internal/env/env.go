@@ -290,6 +290,3 @@ func (e *MitigationEnv) Step(action int) ([]float64, float64, bool) {
 }
 
 var _ rl.Environment = (*MitigationEnv)(nil)
-
-// EpisodeJobs exposes the sampler (used by evaluation replay and tools).
-func (e *MitigationEnv) Sampler() *jobs.Sampler { return e.sampler }

@@ -106,10 +106,6 @@ type Event struct {
 	OverTemp bool
 }
 
-// NodeEvent reports whether the record is tied to a node's availability
-// (rather than a bookkeeping record like retirement).
-func (e Event) NodeEvent() bool { return e.Type != Retirement }
-
 // Log is a chronologically sorted sequence of events.
 type Log struct {
 	Events []Event
@@ -176,16 +172,6 @@ func (l *Log) Nodes() []int {
 	return out
 }
 
-// ByNode groups events by node id, preserving chronological order within
-// each node.
-func (l *Log) ByNode() map[int][]Event {
-	out := map[int][]Event{}
-	for _, e := range l.Events {
-		out[e.Node] = append(out[e.Node], e)
-	}
-	return out
-}
-
 // PartitionManufacturer returns the sub-log containing only events from
 // nodes of the given manufacturer, used for the MN/A, MN/B, MN/C
 // evaluations of §4.5.
@@ -193,17 +179,6 @@ func (l *Log) PartitionManufacturer(m Manufacturer) *Log {
 	out := &Log{}
 	for _, e := range l.Events {
 		if e.Manufacturer == m {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}
-
-// Slice returns the sub-log with events in [from, to).
-func (l *Log) Slice(from, to time.Time) *Log {
-	out := &Log{}
-	for _, e := range l.Events {
-		if !e.Time.Before(from) && e.Time.Before(to) {
 			out.Events = append(out.Events, e)
 		}
 	}

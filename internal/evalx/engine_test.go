@@ -2,6 +2,8 @@ package evalx
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -259,14 +261,23 @@ func TestReplayAllParallelMatchesSerial(t *testing.T) {
 // implementation, not concurrency-safe, call-order dependent. It exercises
 // the engine's per-decider fallback (Decide on a vector copy) and the
 // forced-serial path, which must still reproduce the reference walk exactly
-// because per-node decision order is preserved.
+// because per-node decision order is preserved. Decide yields while it is
+// in flight, so a concurrent caller would enter alongside it and set
+// overlapped even at GOMAXPROCS=1.
 type statefulDecider struct {
-	k     int
-	calls int
+	k          int
+	calls      int
+	inFlight   atomic.Int32
+	overlapped atomic.Bool
 }
 
 func (d *statefulDecider) Name() string { return fmt.Sprintf("every-%d", d.k) }
 func (d *statefulDecider) Decide(policies.Context) bool {
+	if d.inFlight.Add(1) > 1 {
+		d.overlapped.Store(true)
+	}
+	defer d.inFlight.Add(-1)
+	runtime.Gosched()
 	d.calls++
 	return d.calls%d.k == 0
 }

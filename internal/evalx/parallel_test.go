@@ -162,9 +162,13 @@ func TestReplayUnsafeDeciderFallsBackToSerial(t *testing.T) {
 
 	cfg := replayCfg()
 	cfg.Parallelism = 8
-	got := Replay(policies.NewCEThreshold(10), byNode, sampler, cfg)
+	d := &statefulDecider{k: 7}
+	got := Replay(d, byNode, sampler, cfg)
+	if d.overlapped.Load() {
+		t.Fatal("a decider that is not concurrency-safe was called concurrently")
+	}
 	cfg.Parallelism = 1
-	want := Replay(policies.NewCEThreshold(10), byNode, sampler, cfg)
+	want := Replay(&statefulDecider{k: 7}, byNode, sampler, cfg)
 	if got != want {
 		t.Fatalf("stateful decider replay diverged:\n got %+v\nwant %+v", got, want)
 	}

@@ -98,9 +98,3 @@ func (p *Probation) Verdict() ProbationVerdict {
 	}
 	return v
 }
-
-// Results exposes both rolling scoreboards (promoted, reference) for
-// audit detail.
-func (p *Probation) Results() (promoted, reference Result) {
-	return p.promoted.Result(), p.reference.Result()
-}

@@ -9,7 +9,6 @@
 package evalx
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/env"
@@ -156,11 +155,4 @@ const OracleOverhead = 2 * time.Minute
 // queries from its memoized index instead.
 func OraclePoints(ticksByNode [][]errlog.Tick, from, to time.Time) map[policies.OracleKey]bool {
 	return oracleWindow(oracleIndex(ticksByNode), from, to)
-}
-
-// String renders a result as a compact report row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-16s total=%10.1f nh (UE %10.1f + mitig %8.1f + train %6.1f)  mitigations=%d recall=%.2f precision=%.5f",
-		r.Policy, r.TotalCost(), r.UECost, r.MitigationCost, r.TrainingCost,
-		r.Metrics.Mitigations, r.Metrics.Recall(), r.Metrics.Precision())
 }

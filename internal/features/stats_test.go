@@ -33,6 +33,10 @@ func TestSummaryStatsMeanVariance(t *testing.T) {
 	if s.Mean(1) != 0 || s.Variance(1) != 0 {
 		t.Fatalf("untouched dim moved: mean=%v var=%v", s.Mean(1), s.Variance(1))
 	}
+	s.Reset()
+	if s.Count() != 0 || s.Mean(0) != 0 || s.Variance(0) != 0 {
+		t.Fatal("Reset did not clear the accumulator")
+	}
 }
 
 func TestSummaryStatsVarianceNeedsTwoSamples(t *testing.T) {
@@ -43,55 +47,5 @@ func TestSummaryStatsVarianceNeedsTwoSamples(t *testing.T) {
 	s.Observe(statsVec(42))
 	if s.Variance(0) != 0 {
 		t.Fatalf("one-sample variance = %v, want 0", s.Variance(0))
-	}
-}
-
-func TestSummaryStatsMergeMatchesSerial(t *testing.T) {
-	serial := SummaryStats{}
-	var a, b SummaryStats
-	for i := 0; i < 100; i++ {
-		v := statsVec(float64(i), float64(i%7), math.Sqrt(float64(i)))
-		serial.Observe(v)
-		if i < 37 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != serial.Count() {
-		t.Fatalf("merged count = %d, want %d", a.Count(), serial.Count())
-	}
-	for i := 0; i < 3; i++ {
-		if math.Abs(a.Mean(i)-serial.Mean(i)) > 1e-9 {
-			t.Fatalf("dim %d merged mean = %v, serial %v", i, a.Mean(i), serial.Mean(i))
-		}
-		if math.Abs(a.Variance(i)-serial.Variance(i)) > 1e-9 {
-			t.Fatalf("dim %d merged variance = %v, serial %v", i, a.Variance(i), serial.Variance(i))
-		}
-	}
-}
-
-func TestSummaryStatsMergeEdgeCases(t *testing.T) {
-	var empty, full SummaryStats
-	full.Observe(statsVec(3))
-	full.Observe(statsVec(5))
-
-	// Merging an empty accumulator is a no-op.
-	before := full
-	full.Merge(&empty)
-	if full != before {
-		t.Fatal("merging empty changed the accumulator")
-	}
-
-	// Merging into an empty accumulator copies.
-	empty.Merge(&full)
-	if empty.Count() != 2 || empty.Mean(0) != 4 {
-		t.Fatalf("merge into empty: count=%d mean=%v", empty.Count(), empty.Mean(0))
-	}
-
-	empty.Reset()
-	if empty.Count() != 0 || empty.Mean(0) != 0 {
-		t.Fatal("Reset did not clear the accumulator")
 	}
 }

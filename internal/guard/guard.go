@@ -88,9 +88,6 @@ func NewBudgets(cfg Config) *Budgets {
 	return &Budgets{cfg: cfg, nodes: map[int]*Window{}, fleet: fleet, promos: promos}
 }
 
-// Config returns the configured limits.
-func (b *Budgets) Config() Config { return b.cfg }
-
 // node returns the node's spend window, creating it on first use.
 //
 //uerl:locked mu

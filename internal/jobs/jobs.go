@@ -129,10 +129,9 @@ func Generate(cfg Config) []Job {
 // to be the job running on a randomly chosen node than a 1-node job of the
 // same duration.
 type Sampler struct {
-	jobs   []Job
-	cum    []float64 // cumulative node-count weights
-	total  float64
-	maxJob float64 // largest node-hours in the trace
+	jobs  []Job
+	cum   []float64 // cumulative node-count weights
+	total float64
 	// lut is an equi-probability bucket index over cum: lut[k] is the
 	// first index whose cumulative weight reaches bucket k's lower bound,
 	// so a draw binary-searches only within one bucket (O(1) expected)
@@ -157,9 +156,6 @@ func NewSampler(trace []Job) *Sampler {
 	for i, j := range trace {
 		run += float64(j.Nodes)
 		s.cum[i] = run
-		if nh := j.NodeHours(); nh > s.maxJob {
-			s.maxJob = nh
-		}
 	}
 	s.total = run
 
@@ -204,52 +200,6 @@ func (s *Sampler) Sample(rng *mathx.RNG) Job {
 		idx = len(s.jobs) - 1
 	}
 	return s.jobs[idx]
-}
-
-// MaxNodeHours reports the largest job volume in the trace, the cap on any
-// single potential UE cost.
-func (s *Sampler) MaxNodeHours() float64 { return s.maxJob }
-
-// Jobs exposes the underlying trace.
-func (s *Sampler) Jobs() []Job { return s.jobs }
-
-// YoungDalyInterval returns the near-optimal periodic checkpoint interval
-// for a job with the given mean time between failures and checkpoint
-// write cost, using Young's first-order formula sqrt(2·C·MTBF) with Daly's
-// higher-order correction for large C. It contextualizes the §5.6
-// discussion: periodic checkpointing pays this cost continuously, whereas
-// the paper's agent checkpoints only when failure risk or potential loss
-// is high.
-func YoungDalyInterval(mtbf, checkpointCost time.Duration) time.Duration {
-	if mtbf <= 0 || checkpointCost <= 0 {
-		return 0
-	}
-	c := checkpointCost.Seconds()
-	m := mtbf.Seconds()
-	if c >= 2*m {
-		// Degenerate: checkpointing costs more than the expected loss.
-		return mtbf
-	}
-	// Daly: t = sqrt(2*C*M) * (1 + sqrt(C/(2M))/3 + C/(9*2M)) - C.
-	x := math.Sqrt(2 * c * m)
-	t := x*(1+math.Sqrt(c/(2*m))/3+(c/(18*m))) - c
-	if t <= 0 {
-		t = x
-	}
-	return time.Duration(t * float64(time.Second))
-}
-
-// ExpectedPeriodicOverhead returns the expected fraction of compute lost by
-// periodic checkpointing with interval t under failures with the given
-// MTBF: the checkpoint write overhead plus the expected half-interval of
-// recomputation per failure.
-func ExpectedPeriodicOverhead(t, checkpointCost, mtbf time.Duration) float64 {
-	if t <= 0 || mtbf <= 0 {
-		return 0
-	}
-	writeFrac := checkpointCost.Seconds() / t.Seconds()
-	reworkFrac := (t.Seconds() / 2) / mtbf.Seconds()
-	return writeFrac + reworkFrac
 }
 
 // TraceStats summarizes a trace for calibration and tooling.

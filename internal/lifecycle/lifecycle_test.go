@@ -252,7 +252,7 @@ func TestDriftDetectorDefaults(t *testing.T) {
 	if d.cfg.Threshold != 6 || d.cfg.WindowSamples != 512 {
 		t.Fatalf("defaults = %+v", d.cfg)
 	}
-	if _, ok := d.Reference(); ok {
+	if d.hasRef {
 		t.Fatal("fresh detector claims a reference window")
 	}
 }

@@ -44,15 +44,6 @@ func (g *RNG) Fork() *RNG {
 	return NewRNG(g.r.Int63())
 }
 
-// ForkN derives n independent RNGs.
-func (g *RNG) ForkN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = g.Fork()
-	}
-	return out
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
@@ -64,9 +55,6 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -70,7 +70,7 @@ func (n *Network) ensureFast() *fastWeights {
 
 // InvalidateFast marks the weights as mutated so the next KernelFast use
 // rebuilds the padded image. Callers that mutate Param.W directly (the
-// optimizer step) must call it; CopyFrom/SoftUpdate/UnmarshalJSON handle it
+// optimizer step) must call it; CopyFrom/UnmarshalJSON handle it
 // themselves.
 func (n *Network) InvalidateFast() {
 	if n.shadowOf != nil {

@@ -1,12 +1,12 @@
 // Package nn implements the small dense neural networks used by the deep
 // Q-learning agent: fully connected layers with ReLU activations, an
 // optional dueling head (Wang et al., ICML 2016), manual backpropagation,
-// Huber and squared losses with per-sample importance weights, and the
-// SGD/RMSProp/Adam optimizers. Everything is float64 and stdlib-only.
+// the Huber loss with per-sample importance weights, and the Adam
+// optimizer. Everything is float64 and stdlib-only.
 //
 // The package is deliberately scoped to what the paper's agent needs
 // (§3.3.2: an MLP with hidden layers 256-256-128-64 feeding a dueling
-// value/advantage head), but the layers and optimizers are generic.
+// value/advantage head), but the layers are generic.
 //
 //uerl:deterministic
 package nn
@@ -480,22 +480,6 @@ func (n *Network) CopyFrom(src *Network) {
 	n.InvalidateFast()
 }
 
-// SoftUpdate blends src into n: w <- (1-tau) w + tau src.w. tau=1 is a hard
-// sync.
-func (n *Network) SoftUpdate(src *Network, tau float64) {
-	dst := n.Params()
-	from := src.Params()
-	if len(dst) != len(from) {
-		panic("nn: SoftUpdate architecture mismatch")
-	}
-	for i, p := range dst {
-		for j := range p.W {
-			p.W[j] = (1-tau)*p.W[j] + tau*from[i].W[j]
-		}
-	}
-	n.InvalidateFast()
-}
-
 // snapshot is the JSON serialization form.
 type snapshot struct {
 	Config Config      `json:"config"`
@@ -536,13 +520,4 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	}
 	*n = *restored
 	return nil
-}
-
-// NumParams returns the total number of trainable scalars.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.W)
-	}
-	return total
 }

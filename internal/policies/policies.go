@@ -32,14 +32,6 @@ type Decider interface {
 	Decide(ctx Context) bool
 }
 
-// Scorer is an optional Decider extension reporting a real-valued decision
-// score on a policy-specific scale: positive means mitigate, negative means
-// don't, and magnitude is the margin from the decision boundary. Serving
-// layers use it to surface confidence alongside the boolean decision.
-type Scorer interface {
-	Score(ctx Context) float64
-}
-
 // ConcurrentDecider is an optional Decider extension marking it safe for
 // concurrent Decide calls. The parallel replay engine (evalx.Replay) fans
 // decisions out across per-node workers only for deciders that report
@@ -157,7 +149,9 @@ func (p *RFThreshold) Decide(ctx Context) bool {
 	return p.Forest.PredictProb(ctx.Features.Predictor()) > p.Threshold
 }
 
-// Score implements Scorer: the RF probability margin over the threshold.
+// Score reports the decision margin the serving layer surfaces as
+// confidence: the RF probability margin over the threshold, positive when
+// Decide mitigates.
 func (p *RFThreshold) Score(ctx Context) float64 {
 	return p.Forest.PredictProb(ctx.Features.Predictor()) - p.Threshold
 }
@@ -192,8 +186,9 @@ func (p *MyopicRF) Decide(ctx Context) bool {
 	return prob*ctx.Features[features.UECost] > p.MitigationCostNodeHours
 }
 
-// Score implements Scorer: expected UE cost minus mitigation cost, in
-// node–hours.
+// Score reports the decision margin the serving layer surfaces as
+// confidence: expected UE cost minus mitigation cost, in node–hours,
+// positive when Decide mitigates.
 func (p *MyopicRF) Score(ctx Context) float64 {
 	prob := p.Forest.PredictProb(ctx.Features.Predictor())
 	return prob*ctx.Features[features.UECost] - p.MitigationCostNodeHours
@@ -284,9 +279,6 @@ func (*Oracle) Name() string { return "Oracle" }
 func (o *Oracle) Decide(ctx Context) bool {
 	return o.points[OracleKey{Node: ctx.Node, Time: ctx.Time}]
 }
-
-// Len reports the number of oracle mitigation points.
-func (o *Oracle) Len() int { return len(o.points) }
 
 // ConcurrentSafe implements ConcurrentDecider: the point set is read-only.
 func (o *Oracle) ConcurrentSafe() bool { return true }

@@ -112,7 +112,7 @@ func TestOracle(t *testing.T) {
 	if o.Decide(Context{Node: 4, Time: at}) {
 		t.Error("oracle fired on wrong node")
 	}
-	if o.Len() != 1 || o.Name() != "Oracle" {
+	if len(o.points) != 1 || o.Name() != "Oracle" {
 		t.Error("metadata wrong")
 	}
 }

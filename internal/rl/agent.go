@@ -237,9 +237,6 @@ func (a *Agent) initBatchState() {
 	}
 }
 
-// Config returns the agent's configuration (with defaults applied).
-func (a *Agent) Config() AgentConfig { return a.cfg }
-
 // Online exposes the online network (for serialization and inspection).
 func (a *Agent) Online() *nn.Network { return a.online }
 
@@ -257,9 +254,6 @@ func (a *Agent) SetOnline(net *nn.Network) {
 	a.opt = &nn.Adam{LR: a.cfg.LearningRate, Recip: a.cfg.Kernel == nn.KernelFast}
 	a.initBatchState()
 }
-
-// Steps reports the number of environment steps observed.
-func (a *Agent) Steps() int { return a.steps }
 
 // Epsilon returns the current exploration rate.
 func (a *Agent) Epsilon() float64 { return a.cfg.Epsilon.At(a.steps) }

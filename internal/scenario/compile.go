@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -443,11 +442,4 @@ func (c *Compiled) InAttack(t time.Time) bool {
 		}
 	}
 	return false
-}
-
-// String summarizes the compiled stream.
-func (c *Compiled) String() string {
-	return fmt.Sprintf("scenario %q: %d nodes, %.1f days, %d events (%d generated + %d injected UEs, %d dropped, %d delayed, %d duplicated)",
-		c.Spec.Name, c.Spec.Fleet.Nodes, c.Spec.DurationDays, len(c.Events),
-		c.GeneratedUEs, c.InjectedUEs, c.Dropped, c.Delayed, c.Duplicated)
 }

@@ -371,12 +371,7 @@ func buildFleet(c *Compiled) (*fleet.Coordinator, *fleet.ChanTransport, error) {
 		RetryBackoff:     time.Duration(sv.RetryBackoffSeconds * float64(time.Second)),
 	}
 	if gs := spec.Lifecycle.Guard; gs != nil {
-		guardOpts := []uerl.GuardOption{
-			uerl.WithNodeCheckpointBudget(gs.NodeBudgetNodeHours, hours(gs.NodeWindowHours, 24*time.Hour)),
-			uerl.WithFleetMitigationBudget(gs.FleetMitigations, hours(gs.FleetWindowHours, time.Hour)),
-			uerl.WithGuardMitigationCost(c.MitigationCostNodeMinutes),
-			uerl.WithGuardRestartable(c.Restartable),
-		}
+		guardOpts := budgetOptions(gs, c)
 		cfg.NewWorker = func(id int) *fleet.Worker {
 			return fleet.NewWorker(id, c.Initial, fleet.WithWorkerGuard(guardOpts...))
 		}
@@ -446,16 +441,24 @@ func learnerOptions(spec Spec, ctl *uerl.Controller, c *Compiled) ([]uerl.Learne
 	if gs.ProbationToleranceNH != nil {
 		tol = *gs.ProbationToleranceNH
 	}
-	g := uerl.NewGuard(ctl,
-		uerl.WithNodeCheckpointBudget(gs.NodeBudgetNodeHours, hours(gs.NodeWindowHours, 24*time.Hour)),
-		uerl.WithFleetMitigationBudget(gs.FleetMitigations, hours(gs.FleetWindowHours, time.Hour)),
+	g := uerl.NewGuard(ctl, append(budgetOptions(gs, c),
 		uerl.WithPromotionBudget(gs.PromotionsPerDay),
 		uerl.WithApprovalHook(hook),
 		uerl.WithProbation(orDefault(gs.ProbationDecisions, 4096), tol),
+	)...)
+	return append(opts, uerl.WithGuard(g)), g
+}
+
+// budgetOptions lowers a GuardSpec's budgets, with the compiled cost
+// model they charge, to the options every guard of a run shares: the
+// single-process guard and each fleet worker's guard alike.
+func budgetOptions(gs *GuardSpec, c *Compiled) []uerl.GuardOption {
+	return []uerl.GuardOption{
+		uerl.WithNodeCheckpointBudget(gs.NodeBudgetNodeHours, hours(gs.NodeWindowHours, 24*time.Hour)),
+		uerl.WithFleetMitigationBudget(gs.FleetMitigations, hours(gs.FleetWindowHours, time.Hour)),
 		uerl.WithGuardMitigationCost(c.MitigationCostNodeMinutes),
 		uerl.WithGuardRestartable(c.Restartable),
-	)
-	return append(opts, uerl.WithGuard(g)), g
+	}
 }
 
 // orDefault substitutes def for a zero spec field.

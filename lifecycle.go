@@ -248,15 +248,11 @@ func NewServingLearner(s Serving, opts ...LearnerOption) *OnlineLearner {
 }
 
 // Controller returns the served controller when the serving layer is a
-// single-process *Controller; nil under a distributed serving layer (use
-// Serving for the general handle).
+// single-process *Controller; nil under a distributed serving layer.
 func (l *OnlineLearner) Controller() *Controller {
 	ctl, _ := l.serving.(*Controller)
 	return ctl
 }
-
-// Serving returns the serving layer the learner drives.
-func (l *OnlineLearner) Serving() Serving { return l.serving }
 
 // Process ingests one telemetry event: it updates the controller's
 // feature state, records the served decision as training experience,
@@ -270,13 +266,6 @@ func (l *OnlineLearner) Process(e Event) {
 		return
 	}
 	l.processDecision(e)
-}
-
-// ProcessBatch ingests a time-ordered event batch.
-func (l *OnlineLearner) ProcessBatch(events []Event) {
-	for _, e := range events {
-		l.Process(e)
-	}
 }
 
 // processUE folds a realized UE into the pending reward, the feature
@@ -547,13 +536,6 @@ func (l *OnlineLearner) EventsSince(n int) []LifecycleEvent {
 	out := make([]LifecycleEvent, len(l.events)-n)
 	copy(out, l.events[n:])
 	return out
-}
-
-// Generation reports the current model generation (promotions so far).
-func (l *OnlineLearner) Generation() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.generation
 }
 
 // Stats summarizes the learner's activity.

@@ -36,6 +36,13 @@ func driftingTelemetry(nodes, phase1, phase2 int) []Event {
 // learn, from realized UE losses in live traffic, that the degraded
 // fleet warrants mitigation. The shadow gate requires one realized UE,
 // so promotions are judged on outcome evidence, not mitigation spend.
+// processAll feeds a time-ordered event batch to the learner.
+func processAll(l *OnlineLearner, events []Event) {
+	for _, e := range events {
+		l.Process(e)
+	}
+}
+
 func newTestLearner() *OnlineLearner {
 	ctl := NewController(NeverPolicy(), WithShards(4))
 	return NewOnlineLearner(ctl,
@@ -79,7 +86,7 @@ func TestLifecycleEndToEnd(t *testing.T) {
 		}(w)
 	}
 
-	learner.ProcessBatch(stream)
+	processAll(learner, stream)
 	wg.Wait()
 
 	stats := learner.Stats()
@@ -153,7 +160,7 @@ func TestLifecycleEndToEnd(t *testing.T) {
 func TestLifecycleDeterministic(t *testing.T) {
 	run := func() ([]LifecycleEvent, LearnerStats) {
 		learner := newTestLearner()
-		learner.ProcessBatch(driftingTelemetry(8, 600, 800))
+		processAll(learner, driftingTelemetry(8, 600, 800))
 		return learner.Events(), learner.Stats()
 	}
 	ev1, st1 := run()
@@ -175,7 +182,7 @@ func TestLifecycleQuietStreamNoChurn(t *testing.T) {
 	learner := newTestLearner()
 	ctl := learner.Controller()
 	before := ctl.Policy().Version()
-	learner.ProcessBatch(driftingTelemetry(8, 1200, 0))
+	processAll(learner, driftingTelemetry(8, 1200, 0))
 	if events := learner.Events(); len(events) != 0 {
 		t.Fatalf("stationary stream produced lifecycle events: %+v", events)
 	}

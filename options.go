@@ -9,12 +9,6 @@ import (
 // default configuration at BudgetCI (see DefaultConfig).
 type SystemOption func(*Config)
 
-// WithConfig replaces the whole configuration — the bridge from the old
-// Config-struct construction path. Options after it still apply.
-func WithConfig(cfg Config) SystemOption {
-	return func(c *Config) { *c = cfg }
-}
-
 // WithSeed sets the world/training seed.
 func WithSeed(seed int64) SystemOption {
 	return func(c *Config) { c.Seed = seed }
@@ -63,7 +57,6 @@ func WithRestartable(restartable bool) SystemOption {
 // controllerConfig collects NewController options.
 type controllerConfig struct {
 	shards int
-	now    func() time.Time
 }
 
 // ControllerOption configures NewController.
@@ -80,19 +73,9 @@ func WithShards(n int) ControllerOption {
 	return func(c *controllerConfig) { c.shards = n }
 }
 
-// WithNowFunc sets the controller's clock, used by RecommendNow. Tests and
-// replay drivers inject a synthetic clock; the default is time.Now.
-func WithNowFunc(now func() time.Time) ControllerOption {
-	return func(c *controllerConfig) {
-		if now != nil {
-			c.now = now
-		}
-	}
-}
-
 // defaultControllerConfig seeds the option struct.
 func defaultControllerConfig() controllerConfig {
-	return controllerConfig{shards: 2 * runtime.GOMAXPROCS(0), now: time.Now}
+	return controllerConfig{shards: 2 * runtime.GOMAXPROCS(0)}
 }
 
 // learnerConfig collects NewOnlineLearner options.

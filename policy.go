@@ -293,9 +293,8 @@ func (s *System) TrainPolicy(kind PolicyKind) (Policy, error) {
 		}
 		return newRLPolicy(sp.Net.Clone(), s.trainingInfo())
 	case PolicyOracle:
-		rc := s.replayContext()
-		pts := evalx.OraclePoints(rc.byNode, time.Time{}, time.Time{})
-		return &oraclePolicy{d: policies.NewOracle(pts)}, nil
+		art, _ := s.ticks()
+		return &oraclePolicy{d: policies.NewOracle(art.OraclePoints(time.Time{}, time.Time{}))}, nil
 	}
 	return nil, fmt.Errorf("uerl: unknown policy kind %q (want one of %v)", kind, PolicyKinds())
 }
@@ -337,11 +336,11 @@ func (s *System) EvaluatePolicy(p Policy) (PolicyCost, error) {
 	if p == nil {
 		return PolicyCost{}, fmt.Errorf("uerl: nil policy")
 	}
-	rc := s.replayContext()
-	res := evalx.Replay(policyDecider{p: p}, rc.byNode, rc.sampler, evalx.ReplayConfig{
+	art, trainTo := s.ticks()
+	res := evalx.Replay(policyDecider{p: p}, art.ByNode, s.world.Cache().Sampler(s.world.Trace), evalx.ReplayConfig{
 		Env:     s.cvConfig().Env,
 		JobSeed: s.cfg.Seed,
-		From:    rc.trainTo,
+		From:    trainTo,
 	})
 	return PolicyCost{
 		Policy:         res.Policy,

@@ -80,6 +80,36 @@ func TestTrainServeEvaluateAllKinds(t *testing.T) {
 	}
 }
 
+// TestEvaluatePolicyPinned pins EvaluatePolicy's held-out replay of the
+// untrained kinds at BudgetCI, seed 1, bit for bit: the tick pipeline, job
+// sampler, train/test boundary and Oracle point set it replays over must
+// not change when their construction moves.
+func TestEvaluatePolicyPinned(t *testing.T) {
+	s := testSystem(t)
+	oracle, err := s.TrainPolicy(PolicyOracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p    Policy
+		want PolicyCost
+	}{
+		{NeverPolicy(), PolicyCost{Policy: "Never-mitigate", TotalNodeHours: 45408.571520008976, UENodeHours: 45408.571520008976}},
+		{AlwaysPolicy(), PolicyCost{Policy: "Always-mitigate", TotalNodeHours: 16727.90851139441, UENodeHours: 16507.575178061077,
+			MitigationNH: 220.33333333333263, Mitigations: 6610, Recall: 0.875, Precision: 0.001059001512859304}},
+		{oracle, PolicyCost{Policy: "Oracle", TotalNodeHours: 16507.80851139441, UENodeHours: 16507.575178061077,
+			MitigationNH: 0.2333333333333333, Mitigations: 7, Recall: 0.875, Precision: 1}},
+	} {
+		got, err := s.EvaluatePolicy(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("EvaluatePolicy(%s):\n got %#v\nwant %#v", tc.p.Name(), got, tc.want)
+		}
+	}
+}
+
 func TestEvaluatePolicyNil(t *testing.T) {
 	s := testSystem(t)
 	if _, err := s.EvaluatePolicy(nil); err == nil {

@@ -16,43 +16,32 @@ cd "$(dirname "$0")/.."
 echo "== uerlvet ./... =="
 go run ./cmd/uerlvet ./...
 
-echo "== uerlvet guardrail layer (explicit pass) =="
-# The budget ledger must stay a declared-deterministic package: telemetry
-# time only, no wall clock. A dedicated pass keeps the guard layer
-# covered even if the module-wide invocation above is ever narrowed, and
-# the marker grep fails loudly if someone drops the declaration (which
-# would silently exempt internal/guard from the determinism analyzers).
-go run ./cmd/uerlvet ./internal/guard ./internal/evalx .
-if ! grep -q '^//uerl:deterministic' internal/guard/guard.go; then
-  echo "lint: internal/guard lost its //uerl:deterministic package marker" >&2
-  exit 1
-fi
-
-echo "== uerlvet scenario harness (explicit pass) =="
-# The scenario harness promises byte-identical summaries across runs and
-# GOMAXPROCS values, so the whole package must stay declared
-# deterministic — telemetry time and forked spec-seeded RNGs only. The
-# grep fails loudly if the declaration is dropped, which would silently
-# exempt the compiler/runner from the determinism analyzers.
-go run ./cmd/uerlvet ./internal/scenario
-if ! grep -q '^//uerl:deterministic' internal/scenario/spec.go; then
-  echo "lint: internal/scenario lost its //uerl:deterministic package marker" >&2
-  exit 1
-fi
-
-echo "== uerlvet fleet serving layer (explicit pass) =="
-# The distributed serving layer promises a byte-identical decision
-# stream for a given seed + fault schedule at any GOMAXPROCS, so the
-# coordinator/transport/journal package must stay declared deterministic
-# — telemetry time and seed-forked RNGs only, no wall clock in failover
-# or backoff decisions. The grep fails loudly if the declaration is
-# dropped, which would silently exempt internal/fleet from the
-# determinism analyzers.
-go run ./cmd/uerlvet ./internal/fleet
-if ! grep -q '^//uerl:deterministic' internal/fleet/coordinator.go; then
-  echo "lint: internal/fleet lost its //uerl:deterministic package marker" >&2
-  exit 1
-fi
+# Explicit passes over the declared-deterministic serving layers, so each
+# stays covered even if the module-wide run above is ever narrowed. The
+# marker grep fails loudly if a package drops its //uerl:deterministic
+# declaration, which would silently exempt it from the determinism
+# analyzers. One row per layer: name, packages to vet, marker file.
+#   - guardrail: the budget ledger runs on telemetry time only.
+#   - scenario: summaries are byte-identical across runs and GOMAXPROCS
+#     (telemetry time and forked spec-seeded RNGs only).
+#   - fleet: the coordinator/transport/journal decision stream is
+#     byte-identical for a seed + fault schedule at any GOMAXPROCS (no wall
+#     clock in failover or backoff decisions).
+explicit_passes=(
+  "guardrail layer|./internal/guard ./internal/evalx .|internal/guard/guard.go"
+  "scenario harness|./internal/scenario|internal/scenario/spec.go"
+  "fleet serving layer|./internal/fleet|internal/fleet/coordinator.go"
+)
+for row in "${explicit_passes[@]}"; do
+  IFS='|' read -r name pkgs marker <<<"$row"
+  echo "== uerlvet $name (explicit pass) =="
+  # shellcheck disable=SC2086 # pkgs is a deliberate word-split list
+  go run ./cmd/uerlvet $pkgs
+  if ! grep -q '^//uerl:deterministic' "$marker"; then
+    echo "lint: $(dirname "$marker") lost its //uerl:deterministic package marker" >&2
+    exit 1
+  fi
+done
 
 echo "== uerlvet fixture self-check (each must produce findings) =="
 fixtures=(

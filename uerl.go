@@ -51,7 +51,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/env"
 	"repro/internal/errlog"
 	"repro/internal/evalx"
 	"repro/internal/experiments"
@@ -142,7 +141,7 @@ func DefaultConfig(b Budget) Config {
 
 // System is a generated world plus its evaluation configuration.
 // TrainPolicy fits each trained kind on one cached training split, and
-// the replay context backing EvaluatePolicy is computed once; both are
+// EvaluatePolicy replays over the world's memoized tick pipeline; both are
 // concurrency-safe.
 type System struct {
 	cfg   Config
@@ -150,9 +149,6 @@ type System struct {
 
 	splitOnce sync.Once
 	split     *evalx.SingleSplit
-
-	replayOnce sync.Once
-	replay     replayCtx
 }
 
 // NewSystem generates a synthetic world from functional options, applied
@@ -187,7 +183,9 @@ func NewSystem(opts ...SystemOption) *System {
 // log, §4.1): the RF forest with its optimal threshold and the RL agent.
 func (s *System) trainedSplit() *evalx.SingleSplit {
 	s.splitOnce.Do(func() {
-		split := evalx.TrainSingleSplit(s.world.Log, s.world.Trace, s.cvConfig(), trainFrac)
+		cfg := s.cvConfig()
+		cfg.Cache = s.world.Cache()
+		split := evalx.TrainSingleSplit(s.world.Log, s.world.Trace, cfg, trainFrac)
 		s.split = &split
 	})
 	return s.split
@@ -196,25 +194,12 @@ func (s *System) trainedSplit() *evalx.SingleSplit {
 // trainFrac is the single-split train/test boundary (§4.1).
 const trainFrac = 0.75
 
-// replayCtx is the preprocessed world used to replay policies without
-// training anything: per-node merged ticks, the job sampler, and the
-// single-split train/test boundary.
-type replayCtx struct {
-	byNode  [][]errlog.Tick
-	sampler *jobs.Sampler
-	trainTo time.Time
-}
-
-// replayContext lazily preprocesses the log for policy replay.
-func (s *System) replayContext() replayCtx {
-	s.replayOnce.Do(func() {
-		pre := errlog.Preprocess(s.world.Log)
-		s.replay.byNode = env.GroupTicks(errlog.Merge(pre, errlog.MergeWindow))
-		s.replay.sampler = jobs.NewSampler(s.world.Trace)
-		first, last := pre.Span()
-		s.replay.trainTo = first.Add(time.Duration(float64(last.Sub(first)) * trainFrac))
-	})
-	return s.replay
+// ticks returns the world's memoized tick pipeline and the single-split
+// train/test boundary: policies replay over the held-out tail from there.
+func (s *System) ticks() (*evalx.TickArtifacts, time.Time) {
+	art := s.world.Cache().Ticks(s.world.Log)
+	first, last := art.Pre.Span()
+	return art, first.Add(time.Duration(float64(last.Sub(first)) * trainFrac))
 }
 
 // World exposes the underlying experiment world for advanced use.
@@ -309,7 +294,7 @@ func (s *System) EvaluateManufacturer(name string) (Report, error) {
 	default:
 		return Report{}, fmt.Errorf("uerl: unknown manufacturer %q (want A, B or C)", name)
 	}
-	part := s.world.Log.PartitionManufacturer(m)
+	part := s.world.Partition(m)
 	if len(part.Events) == 0 {
 		return Report{}, fmt.Errorf("uerl: manufacturer %s has no events", name)
 	}

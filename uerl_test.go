@@ -17,12 +17,11 @@ func testSystem(t *testing.T) *System {
 	if testing.Short() {
 		t.Skip("system integration tests in short mode")
 	}
-	sysOnce.Do(func() { sys = NewSystem(WithConfig(DefaultConfig(BudgetCI))) })
+	sysOnce.Do(func() { sys = NewSystem() })
 	return sys
 }
 
 func TestNewSystemOptions(t *testing.T) {
-	base := DefaultConfig(BudgetCI)
 	var got Config
 	NewSystem(
 		WithSeed(7),
@@ -33,12 +32,18 @@ func TestNewSystemOptions(t *testing.T) {
 		WithJobSizeScale(2),
 		WithMitigationCost(5),
 		WithRestartable(false),
-		WithConfig(base), // wholesale replacement drops everything above
 		WithSeed(9),
 		func(c *Config) { got = *c },
 	)
-	want := base
-	want.Seed = 9
+	want := Config{
+		Seed:                      9,
+		Scale:                     0.01,
+		Jobs:                      11,
+		JobSizeScale:              2,
+		MitigationCostNodeMinutes: 5,
+		Restartable:               false,
+		Budget:                    BudgetCI,
+	}
 	if got != want {
 		t.Fatalf("options applied wrong: got %+v want %+v", got, want)
 	}
@@ -99,6 +104,19 @@ func TestEvaluateManufacturer(t *testing.T) {
 	}
 	if len(rep.Costs) == 0 {
 		t.Fatal("empty manufacturer report")
+	}
+	// The untrained rows carry no wall-clock training cost, so they pin
+	// the manufacturer partition bit for bit (BudgetCI, seed 1).
+	for _, want := range []PolicyCost{
+		{Policy: "Never-mitigate", TotalNodeHours: 16129.822544062908, UENodeHours: 16129.822544062908},
+		{Policy: "Always-mitigate", TotalNodeHours: 16232.943886776398, UENodeHours: 15989.7438867764,
+			MitigationNH: 243.19999999999956, Mitigations: 7296, Recall: 0.625, Precision: 0.0006853070175438596},
+		{Policy: "Oracle", TotalNodeHours: 15989.910553443066, UENodeHours: 15989.7438867764,
+			MitigationNH: 0.16666666666666669, Mitigations: 5, Recall: 0.625, Precision: 1},
+	} {
+		if got, _ := rep.Find(want.Policy); got != want {
+			t.Errorf("manufacturer C %s:\n got %#v\nwant %#v", want.Policy, got, want)
+		}
 	}
 	if _, err := s.EvaluateManufacturer("Z"); err == nil {
 		t.Fatal("bad manufacturer accepted")
