@@ -33,9 +33,20 @@ func TestSummaryStatsMeanVariance(t *testing.T) {
 	if s.Mean(1) != 0 || s.Variance(1) != 0 {
 		t.Fatalf("untouched dim moved: mean=%v var=%v", s.Mean(1), s.Variance(1))
 	}
+}
+
+func TestSummaryStatsReset(t *testing.T) {
+	var s SummaryStats
+	s.Observe(statsVec(3))
+	s.Observe(statsVec(5))
 	s.Reset()
 	if s.Count() != 0 || s.Mean(0) != 0 || s.Variance(0) != 0 {
 		t.Fatal("Reset did not clear the accumulator")
+	}
+	// A reset accumulator starts over rather than blending in old samples.
+	s.Observe(statsVec(10))
+	if s.Count() != 1 || s.Mean(0) != 10 {
+		t.Fatalf("after Reset: count=%d mean=%v, want 1 and 10", s.Count(), s.Mean(0))
 	}
 }
 
